@@ -189,14 +189,10 @@ pub fn lint_report(graph: &Graph, o: &LintOptions) -> Result<(String, bool), Str
     // Disable the in-pipeline verifier: lint collects the diagnostics
     // itself so it can render all of them instead of failing on the
     // first error.
-    let mut opts = CompileOptions {
-        policy: o.policy,
+    let opts = CompileOptions {
         verify: false,
-        ..Default::default()
+        ..CompileOptions::for_policy(o.policy)
     };
-    if o.policy == FusionPolicy::TileGraph {
-        opts.slicing.enable_uta = false;
-    }
     let program = CompileSession::new(o.arch, opts)
         .compile(graph)
         .map_err(|e| e.to_string())?;
@@ -722,13 +718,7 @@ pub fn compile_report(graph: &Graph, o: &Options) -> Result<String, String> {
         return Ok(smg.to_dot(&graph));
     }
 
-    let mut opts = CompileOptions {
-        policy: o.policy,
-        ..Default::default()
-    };
-    if o.policy == FusionPolicy::TileGraph {
-        opts.slicing.enable_uta = false;
-    }
+    let opts = CompileOptions::for_policy(o.policy);
     let sink = Arc::new(CollectingSink::new());
     let session = CompileSession::new(o.arch, opts).with_sink(sink.clone());
     let program = session.compile(&graph).map_err(|e| e.to_string())?;

@@ -7,178 +7,123 @@
 //! schedules, documentation, and golden tests that pin down the shape of
 //! generated code.
 
+use super::plan::{sliced_agg, Step};
 use super::program::KernelProgram;
-use crate::sched::{MemLevel, OpRole};
-use crate::slicer::{AggKind, FactorForm};
-use sf_ir::{OpKind, ValueId, ValueKind};
+use crate::sched::MemLevel;
+use crate::slicer::{AggKind, FactorForm, UpdateFactor};
+use sf_ir::{OpKind, ValueId};
 use std::fmt::Write as _;
 
 /// Renders the kernel as indented pseudo-code.
 pub fn emit_pseudocode(kp: &KernelProgram) -> String {
     let g = &kp.graph;
     let s = &kp.schedule;
+    let plan = kp.plan();
     let mut out = String::new();
-    let name = |v: ValueId| g.value(v).name.clone();
+    let name = |v: ValueId| g.value(v).name.as_str();
 
     let _ = writeln!(out, "// kernel {} — grid {} block(s)", kp.name, s.grid());
     let _ = writeln!(out, "parallel_for block in SMG_blocks {{");
 
-    // Staged loads (whole-block lifetime).
-    for (vi, v) in g.values().iter().enumerate() {
-        if matches!(v.kind, ValueKind::Input | ValueKind::Weight) {
-            let varying = s
-                .temporal
-                .as_ref()
-                .map(|t| s.smg.value_has_dim(g, ValueId(vi), t.plan.dim))
-                .unwrap_or(false);
-            if s.mem.staged[vi] && !varying {
+    // Whole-block loads: staged into shared memory, or streamed.
+    for gl in plan.globals.iter().filter(|gl| !gl.varying) {
+        let v = name(gl.value);
+        let _ = if gl.staged {
+            writeln!(out, "    {v} = load_block({v})        // smem")
+        } else {
+            writeln!(out, "    {v} = stream({v})            // global")
+        };
+    }
+
+    if let Some(tiles) = &plan.tiles {
+        let _ = writeln!(
+            out,
+            "    // intra-block loop over dim {} in tiles of {}",
+            s.smg.dims[tiles.dim.0].name, tiles.tile
+        );
+        if tiles.split.is_none() {
+            let _ = writeln!(out, "    for intra_block in Block {{");
+        } else {
+            let _ = writeln!(
+                out,
+                "    // split-K: {} parallel partitions, each owning a contiguous tile range",
+                tiles.partitions
+            );
+            let _ = writeln!(
+                out,
+                "    parallel_for p: for intra_block in partition(p) {{"
+            );
+        }
+        for gl in plan.globals.iter().filter(|gl| gl.varying) {
+            let v = name(gl.value);
+            let _ = writeln!(out, "        {v} = load_tile({v})");
+        }
+        for step in &tiles.phase1 {
+            match *step {
+                Step::Op(oi) => {
+                    let _ = writeln!(out, "        {}", op_line(kp, oi));
+                }
+                Step::Reduce { op, idx } => {
+                    let target = name(g.ops()[op].output);
+                    let _ = match sliced_agg(s, idx) {
+                        Some(AggKind::Uta(factors)) => writeln!(
+                            out,
+                            "        {target} = aggr({target}_old * {}, {})  // UTA",
+                            update_expr(kp, factors),
+                            expr(kp, op)
+                        ),
+                        _ => writeln!(
+                            out,
+                            "        {target} = aggr({target}_old, {})",
+                            expr(kp, op)
+                        ),
+                    };
+                }
+            }
+        }
+        let _ = writeln!(out, "    }}");
+
+        if let Some(sp) = &tiles.split {
+            for &v in &sp.parks {
                 let _ = writeln!(
                     out,
-                    "    {} = load_block({})        // smem",
-                    v.name, v.name
+                    "    park_partial({})   // one state per partition",
+                    name(v)
                 );
-            } else if !varying {
+            }
+            let _ = writeln!(
+                out,
+                "    // combine dispatch: fold {} partials in partition order",
+                tiles.partitions
+            );
+            for &(op, spec) in &sp.folds {
+                let target = name(g.ops()[op.0].output);
+                let rescaled = if spec.rescale { ", rescaled" } else { "" };
                 let _ = writeln!(
                     out,
-                    "    {} = stream({})            // global",
-                    v.name, v.name
+                    "    {target} = combine_{}({target}[0..{}]{rescaled})",
+                    spec.op.name(),
+                    tiles.partitions
                 );
             }
         }
     }
 
-    match &s.temporal {
-        None => {
-            for (oi, _) in g.ops().iter().enumerate() {
-                let _ = writeln!(out, "    {}", op_line(kp, oi));
-            }
-            for &o in g.outputs() {
-                let _ = writeln!(out, "    store({})", name(o));
-            }
+    for &oi in &plan.block_ops {
+        let _ = writeln!(out, "    {}", op_line(kp, oi));
+    }
+    if let Some((_, p2)) = plan.phase2() {
+        let _ = writeln!(out, "    for intra_block in Block {{  // phase 2");
+        for &oi in &p2.ops {
+            let _ = writeln!(out, "        {}", op_line(kp, oi));
         }
-        Some(t) => {
-            let _ = writeln!(
-                out,
-                "    // intra-block loop over dim {} in tiles of {}",
-                s.smg.dims[t.plan.dim.0].name, t.block
-            );
-            match &t.split {
-                None => {
-                    let _ = writeln!(out, "    for intra_block in Block {{");
-                }
-                Some(sp) => {
-                    let _ = writeln!(
-                        out,
-                        "    // split-K: {} parallel partitions, each owning a contiguous tile range",
-                        sp.partitions
-                    );
-                    let _ = writeln!(
-                        out,
-                        "    parallel_for p: for intra_block in partition(p) {{"
-                    );
-                }
-            }
-            for (vi, v) in g.values().iter().enumerate() {
-                let varying = s.smg.value_has_dim(g, ValueId(vi), t.plan.dim);
-                if matches!(v.kind, ValueKind::Input | ValueKind::Weight) && varying {
-                    let _ = writeln!(out, "        {} = load_tile({})", v.name, v.name);
-                }
-            }
-            for (oi, op) in g.ops().iter().enumerate() {
-                if !kp.needed_phase1[oi] || kp.roles[oi] == OpRole::PostLoop {
-                    continue;
-                }
-                match kp.roles[oi] {
-                    OpRole::SlicedReduction(idx) => {
-                        let target = name(op.output);
-                        match &t.plan.sliced[idx].agg {
-                            AggKind::Simple => {
-                                let _ = writeln!(
-                                    out,
-                                    "        {target} = aggr({target}_old, {})",
-                                    partial_expr(kp, oi)
-                                );
-                            }
-                            AggKind::Uta(factors) => {
-                                let upd = factors
-                                    .iter()
-                                    .map(|f| {
-                                        let dep = name(g.ops()[f.dep.0].output);
-                                        match f.form {
-                                            FactorForm::ExpNeg => {
-                                                format!("exp({dep}_old - {dep})")
-                                            }
-                                            FactorForm::Recip => format!("{dep}_old/{dep}"),
-                                            FactorForm::Value => format!("{dep}/{dep}_old"),
-                                        }
-                                    })
-                                    .collect::<Vec<_>>()
-                                    .join(" * ");
-                                let _ = writeln!(
-                                    out,
-                                    "        {target} = aggr({target}_old * {upd}, {})  // UTA",
-                                    partial_expr(kp, oi)
-                                );
-                            }
-                        }
-                    }
-                    _ => {
-                        let _ = writeln!(out, "        {}", op_line(kp, oi));
-                    }
-                }
-            }
-            let _ = writeln!(out, "    }}");
-
-            if let Some(sp) = &t.split {
-                for r in &t.plan.sliced {
-                    let _ = writeln!(
-                        out,
-                        "    park_partial({})   // one state per partition",
-                        name(g.ops()[r.op.0].output)
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "    // combine dispatch: fold {} partials in partition order",
-                    sp.partitions
-                );
-                for (r, spec) in t.plan.sliced.iter().zip(&sp.combine) {
-                    let target = name(g.ops()[r.op.0].output);
-                    let rescaled = if spec.rescale { ", rescaled" } else { "" };
-                    let _ = writeln!(
-                        out,
-                        "    {target} = combine_{}({target}[0..{}]{rescaled})",
-                        spec.op.name(),
-                        sp.partitions
-                    );
-                }
-            }
-
-            for (oi, _) in g.ops().iter().enumerate() {
-                if kp.roles[oi] == OpRole::PostLoop {
-                    let _ = writeln!(out, "    {}", op_line(kp, oi));
-                }
-            }
-            if t.plan.two_phase {
-                let _ = writeln!(out, "    for intra_block in Block {{  // phase 2");
-                for (oi, _) in g.ops().iter().enumerate() {
-                    if kp.roles[oi] == OpRole::InLoop && kp.needed_output[oi] {
-                        let _ = writeln!(out, "        {}", op_line(kp, oi));
-                    }
-                }
-                for &o in g.outputs() {
-                    if s.smg.value_has_dim(g, o, t.plan.dim) {
-                        let _ = writeln!(out, "        store_tile({})", name(o));
-                    }
-                }
-                let _ = writeln!(out, "    }}");
-            }
-            for &o in g.outputs() {
-                if !s.smg.value_has_dim(g, o, t.plan.dim) {
-                    let _ = writeln!(out, "    store({})", name(o));
-                }
-            }
+        for &o in &p2.tile_stores {
+            let _ = writeln!(out, "        store_tile({})", name(o));
         }
+        let _ = writeln!(out, "    }}");
+    }
+    for &o in &plan.block_stores {
+        let _ = writeln!(out, "    store({})", name(o));
     }
     let _ = writeln!(out, "}}");
     out
@@ -201,6 +146,22 @@ fn op_line(kp: &KernelProgram, oi: usize) -> String {
     )
 }
 
+/// The product of UTA update factors rescaling an old accumulator.
+fn update_expr(kp: &KernelProgram, factors: &[UpdateFactor]) -> String {
+    factors
+        .iter()
+        .map(|f| {
+            let dep = &kp.graph.value(kp.graph.ops()[f.dep.0].output).name;
+            match f.form {
+                FactorForm::ExpNeg => format!("exp({dep}_old - {dep})"),
+                FactorForm::Recip => format!("{dep}_old/{dep}"),
+                FactorForm::Value => format!("{dep}/{dep}_old"),
+            }
+        })
+        .collect::<Vec<_>>()
+        .join(" * ")
+}
+
 fn expr(kp: &KernelProgram, oi: usize) -> String {
     let g = &kp.graph;
     let op = &g.ops()[oi];
@@ -214,10 +175,6 @@ fn expr(kp: &KernelProgram, oi: usize) -> String {
         OpKind::Broadcast { dim, .. } => format!("broadcast({}, dim={dim})", a(0)),
         OpKind::LayoutBarrier => format!("reshape({})", a(0)),
     }
-}
-
-fn partial_expr(kp: &KernelProgram, oi: usize) -> String {
-    expr(kp, oi)
 }
 
 #[cfg(test)]

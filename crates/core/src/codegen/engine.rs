@@ -1,10 +1,10 @@
 //! Persistent execution engine: a reusable worker pool plus pinned
 //! scratch arenas.
 //!
-//! Before this module, every `execute_kernel_with` call spawned a fresh
-//! `std::thread::scope` of workers and threw their [`ScratchPool`]s away
-//! afterwards — thread creation and cold scratch pools dominated small
-//! kernels. The [`ExecEngine`] keeps both alive across calls:
+//! Spawning a fresh `std::thread::scope` of workers per kernel and
+//! throwing their [`ScratchPool`]s away afterwards lets thread creation
+//! and cold scratch pools dominate small kernels. The [`ExecEngine`]
+//! keeps both alive across calls:
 //!
 //! * a [`WorkerPool`] of lazily spawned, long-lived worker threads that
 //!   pick up one *job* (a type-erased block-draining closure) at a time
@@ -344,9 +344,8 @@ impl ExecEngine {
         }
     }
 
-    /// The process-wide shared engine. Free-function entry points
-    /// ([`super::execute_kernel_with`]) and every default-configured
-    /// [`crate::pipeline::CompileSession`] execute through this
+    /// The process-wide shared engine. Every default-configured
+    /// [`crate::pipeline::CompileSession`] executes through this
     /// instance, so warm worker threads and scratch arenas are reused
     /// across the whole process.
     pub fn shared() -> Arc<ExecEngine> {

@@ -1,11 +1,15 @@
 //! Numeric interpretation of kernel programs.
 //!
 //! Executes a [`KernelProgram`] exactly as a GPU would: one pass over the
-//! spatial blocks, and within each block either a direct evaluation of
-//! the fused subgraph on the block's tiles, or the temporal intra-block
-//! loop with running aggregations (Simple Aggregate and Update-then-
-//! Aggregate) and, for two-phase schedules, a second streaming pass that
-//! produces the outputs from the finalized aggregates.
+//! spatial blocks, and within each block the sections of the kernel's
+//! [`KernelPlan`](super::plan::KernelPlan) — either a direct evaluation
+//! of the fused subgraph on the block's tiles, or the temporal
+//! intra-block loop with running aggregations (Simple Aggregate and
+//! Update-then-Aggregate) and, for two-phase schedules, a second
+//! streaming pass that produces the outputs from the finalized
+//! aggregates. The plan decides what runs where; this module is the
+//! arithmetic. The two entry points are [`ExecEngine::execute_kernel`]
+//! and, for callers already inside the pool, `execute_kernel_pooled`.
 //!
 //! This interpreter is the correctness oracle of the whole compiler: the
 //! test suites compare its results bit-for-bit-ish (to float tolerance)
@@ -29,12 +33,12 @@
 //! the caller's thread.
 
 use super::engine::{serial_cutoff, ExecEngine};
+use super::plan::{blocks, Restrict, Step, TileLoop};
 use super::program::KernelProgram;
 use crate::error::{Result, SfError};
 use crate::resilience::{panic_payload, FaultInjector, FaultKind};
-use crate::sched::OpRole;
-use crate::slicer::{AggKind, FactorForm};
-use crate::smg::{DimId, Smg};
+use crate::slicer::{AggKind, FactorForm, SlicedReduction};
+use crate::smg::DimId;
 use sf_ir::{Graph, OpKind, ValueId};
 use sf_tensor::ops::{viewed, BinaryOp, ReduceOp, UnaryOp};
 use sf_tensor::{ScratchPool, Shape, Tensor, TensorView, TensorViewMut};
@@ -44,9 +48,6 @@ use std::collections::HashMap;
 use std::sync::atomic::AtomicU8;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
-
-/// Dimension restrictions: `dim -> [start, end)`.
-type Restrict = Vec<(DimId, (usize, usize))>;
 
 /// Options for the execution engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,47 +77,6 @@ impl ExecOptions {
             *AUTO.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get().min(8)))
         }
     }
-}
-
-/// Executes one kernel over the environment of named tensors with
-/// default options.
-///
-/// Inputs and weights are read from `env` by value name; outputs are
-/// inserted into `env` under their value names.
-pub fn execute_kernel(kp: &KernelProgram, env: &mut HashMap<String, Tensor>) -> Result<()> {
-    execute_kernel_with(kp, env, &ExecOptions::default())
-}
-
-/// Executes one kernel, fanning the spatial block loop out over worker
-/// threads.
-///
-/// Results are bit-identical for every thread count: blocks write
-/// disjoint output regions (the slicer's spatial legality guarantee) and
-/// each block's arithmetic is self-contained.
-pub fn execute_kernel_with(
-    kp: &KernelProgram,
-    env: &mut HashMap<String, Tensor>,
-    opts: &ExecOptions,
-) -> Result<()> {
-    execute_kernel_faulted(kp, env, opts, None)
-}
-
-/// [`execute_kernel_with`] plus worker isolation and fault hooks: every
-/// spatial block runs behind a `catch_unwind` boundary, so a panicking
-/// block (a backend bug, an injected crash) surfaces as
-/// [`SfError::Internal`] instead of unwinding through the caller. A
-/// failed kernel publishes nothing to `env` — outputs are inserted only
-/// after every block succeeded — which is what makes the reference
-/// fallback of
-/// [`CompiledProgram::execute_resilient`](crate::pipeline::CompiledProgram::execute_resilient)
-/// see exactly the inputs this kernel saw.
-pub fn execute_kernel_faulted(
-    kp: &KernelProgram,
-    env: &mut HashMap<String, Tensor>,
-    opts: &ExecOptions,
-    faults: Option<&FaultInjector>,
-) -> Result<()> {
-    ExecEngine::shared().execute_kernel(kp, env, opts, faults)
 }
 
 /// A full output tensor shared lock-free across block workers.
@@ -252,11 +212,28 @@ fn output_slots(graph: &Graph) -> Vec<OutputSlot> {
         .collect()
 }
 
+/// Publishes a finished kernel's outputs into the environment.
+fn publish(slots: Vec<OutputSlot>, env: &mut HashMap<String, Tensor>) {
+    for slot in slots {
+        let (name, tensor) = slot.into_parts();
+        env.insert(name, tensor);
+    }
+}
+
 /// Executes one kernel serially with an explicit scratch pool,
 /// publishing outputs into `env` on success. This is the in-worker
 /// path of [`crate::pipeline::CompiledProgram::execute_many`]: batch
 /// items already occupy the pool's workers, so their kernels must not
 /// re-enter the pool.
+///
+/// Every spatial block runs behind a `catch_unwind` boundary, so a
+/// panicking block (a backend bug, an injected crash) surfaces as
+/// [`SfError::Internal`] instead of unwinding through the caller. A
+/// failed kernel publishes nothing to `env` — outputs are inserted only
+/// after every block succeeded — which is what makes the reference
+/// fallback of
+/// [`CompiledProgram::execute_resilient`](crate::pipeline::CompiledProgram::execute_resilient)
+/// see exactly the inputs this kernel saw.
 pub(crate) fn execute_kernel_pooled(
     kp: &KernelProgram,
     env: &mut HashMap<String, Tensor>,
@@ -264,14 +241,13 @@ pub(crate) fn execute_kernel_pooled(
     faults: Option<&FaultInjector>,
 ) -> Result<()> {
     let slots = output_slots(&kp.graph);
-    let blocks = enumerate_blocks(&kp.schedule);
+    let blocks: Vec<Restrict> = blocks(&kp.schedule).collect();
     for (bi, block) in blocks.iter().enumerate() {
-        run_block(kp, env, &slots, block, pool, faults, bi, blocks.len())?;
+        isolated(kp, "block", bi, blocks.len(), faults, || {
+            execute_block(kp, env, &slots, block, pool)
+        })?;
     }
-    for slot in slots {
-        let (name, tensor) = slot.into_parts();
-        env.insert(name, tensor);
-    }
+    publish(slots, env);
     Ok(())
 }
 
@@ -281,7 +257,9 @@ impl ExecEngine {
     /// the [`serial_cutoff`], otherwise fanned out over the persistent
     /// worker pool. Outputs are published into `env` only after every
     /// block succeeded; results are bit-identical for every worker
-    /// count and across the serial/pooled paths.
+    /// count and across the serial/pooled paths: blocks write disjoint
+    /// output regions (the slicer's spatial legality guarantee) and each
+    /// block's arithmetic is self-contained.
     pub fn execute_kernel(
         &self,
         kp: &KernelProgram,
@@ -289,7 +267,7 @@ impl ExecEngine {
         opts: &ExecOptions,
         faults: Option<&FaultInjector>,
     ) -> Result<()> {
-        let blocks = enumerate_blocks(&kp.schedule);
+        let blocks: Vec<Restrict> = blocks(&kp.schedule).collect();
         let workers = opts.effective_threads().min(blocks.len()).max(1);
         let total_work: usize = kp
             .graph
@@ -309,21 +287,15 @@ impl ExecEngine {
             return self.with_serial_scratch(|pool| execute_kernel_pooled(kp, env, pool, faults));
         }
         let threads = opts.effective_threads();
-        let partitions = kp.schedule.temporal.as_ref().map_or(1, |t| t.partitions());
-        if partitions > 1 && threads > 1 {
+        if let Some(tiles) = kp.plan().tiles.as_ref().filter(|t| t.partitions > 1) {
             // A split-K schedule's unit of parallelism is the
             // (spatial block × partition) pair, and its real work
             // includes the sliced reduction extent that the output
             // volume hides (a decode kernel writes one row but reads
             // the whole KV cache), so the cutoff is taken on those.
-            let red_extent = kp
-                .schedule
-                .temporal
-                .as_ref()
-                .map_or(1, |t| kp.schedule.smg.extent(t.plan.dim));
-            let split_work = total_work.saturating_mul(red_extent);
-            if !serial_cutoff(blocks.len() * partitions, split_work) {
-                return self.execute_kernel_split(kp, env, &blocks, partitions, threads, faults);
+            let split_work = total_work.saturating_mul(tiles.extent);
+            if threads > 1 && !serial_cutoff(blocks.len() * tiles.partitions, split_work) {
+                return self.execute_kernel_split(kp, tiles, env, &blocks, threads, faults);
             }
         }
         if workers == 1 || serial_cutoff(blocks.len(), total_work) {
@@ -331,63 +303,65 @@ impl ExecEngine {
         }
 
         let slots = output_slots(&kp.graph);
-        // Chunked work queue: coarse enough to amortize the atomic,
-        // fine enough to balance blocks of uneven cost.
-        let chunk = blocks.len().div_ceil(workers * 4).max(1);
+        let env_ref: &HashMap<String, Tensor> = env;
+        self.dispatch(kp, "block", workers, blocks.len(), faults, &|bi, pool| {
+            execute_block(kp, env_ref, &slots, &blocks[bi], pool)
+        })?;
+        publish(slots, env);
+        Ok(())
+    }
+
+    /// Fans `n_items` work items of `kp` (each a `what`, for messages)
+    /// out over `workers` pool workers in one pool dispatch.
+    ///
+    /// Items are claimed off a chunked atomic queue — coarse enough to
+    /// amortize the atomic, fine enough to balance items of uneven
+    /// cost — and each runs behind its own [`isolated`] boundary. A
+    /// worker stops at its first failing item; the error returned is
+    /// that of the lowest-index failed item, independent of worker
+    /// scheduling.
+    fn dispatch(
+        &self,
+        kp: &KernelProgram,
+        what: &str,
+        workers: usize,
+        n_items: usize,
+        faults: Option<&FaultInjector>,
+        item: &(dyn Fn(usize, &mut ScratchPool) -> Result<()> + Sync),
+    ) -> Result<()> {
+        let chunk = n_items.div_ceil(workers * 4).max(1);
         let next = AtomicUsize::new(0);
         let failures: Mutex<Vec<(usize, SfError)>> = Mutex::new(Vec::new());
-        let env_ref: &HashMap<String, Tensor> = env;
-        let blocks_ref: &[Restrict] = &blocks;
-        let slots_ref: &[OutputSlot] = &slots;
         let panicked = self.run_dispatch(workers, &|pool: &mut ScratchPool| loop {
             let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= blocks_ref.len() {
+            if start >= n_items {
                 return;
             }
-            let end = (start + chunk).min(blocks_ref.len());
-            for (off, block) in blocks_ref[start..end].iter().enumerate() {
-                let bi = start + off;
-                if let Err(e) = run_block(
-                    kp,
-                    env_ref,
-                    slots_ref,
-                    block,
-                    pool,
-                    faults,
-                    bi,
-                    blocks_ref.len(),
-                ) {
+            for i in start..(start + chunk).min(n_items) {
+                if let Err(e) = isolated(kp, what, i, n_items, faults, || item(i, pool)) {
                     failures
                         .lock()
                         .unwrap_or_else(PoisonError::into_inner)
-                        .push((bi, e));
+                        .push((i, e));
                     return;
                 }
             }
         });
         if panicked {
-            // `run_block` already isolates block panics; reaching here
+            // `isolated` already catches item panics; reaching here
             // means a panic escaped that boundary (a queue bug).
             return Err(SfError::Internal {
                 pass: format!("exec:{}", kp.name),
-                payload: "worker panicked outside block isolation".into(),
+                payload: format!("worker panicked outside {what} isolation"),
             });
         }
-        // Report the failure of the earliest block, independent of
-        // worker scheduling.
-        let mut failures = failures
+        let failures = failures
             .into_inner()
             .unwrap_or_else(PoisonError::into_inner);
-        failures.sort_by_key(|&(i, _)| i);
-        if let Some((_, e)) = failures.into_iter().next() {
-            return Err(e);
+        match failures.into_iter().min_by_key(|&(i, _)| i) {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
         }
-
-        for slot in slots {
-            let (name, tensor) = slot.into_parts();
-            env.insert(name, tensor);
-        }
-        Ok(())
     }
 
     /// Executes a split-K kernel as two pool dispatches. Phase 1 fans
@@ -405,153 +379,71 @@ impl ExecEngine {
     fn execute_kernel_split(
         &self,
         kp: &KernelProgram,
+        tiles: &TileLoop,
         env: &mut HashMap<String, Tensor>,
         blocks: &[Restrict],
-        partitions: usize,
         threads: usize,
         faults: Option<&FaultInjector>,
     ) -> Result<()> {
-        let t =
-            kp.schedule.temporal.as_ref().ok_or_else(|| {
-                SfError::Codegen("split execution without temporal slicing".into())
-            })?;
-        let n_tiles = kp.schedule.smg.extent(t.plan.dim).div_ceil(t.block);
+        let partitions = tiles.partitions;
         let slots = output_slots(&kp.graph);
         let items = blocks.len() * partitions;
         let partials: Vec<PartialSlot> = (0..items).map(|_| PartialSlot::default()).collect();
-        let failures: Mutex<Vec<(usize, SfError)>> = Mutex::new(Vec::new());
         let env_ref: &HashMap<String, Tensor> = env;
-        let partials_ref: &[PartialSlot] = &partials;
 
         // Dispatch 1: one phase-1 partial per (block, partition).
-        let workers = threads.min(items);
-        let chunk = items.div_ceil(workers * 4).max(1);
-        let next = AtomicUsize::new(0);
-        let panicked = self.run_dispatch(workers, &|pool: &mut ScratchPool| loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= items {
-                return;
-            }
-            let end = (start + chunk).min(items);
-            for (item, slot) in partials_ref.iter().enumerate().take(end).skip(start) {
+        self.dispatch(
+            kp,
+            "split item",
+            threads.min(items),
+            items,
+            faults,
+            &|item, pool| {
                 let (bi, p) = (item / partitions, item % partitions);
-                let (lo, hi) = t.partition_tiles(n_tiles, p);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if let Some(inj) = faults {
-                        if inj.fire_block(&kp.name, item, items) == Some(FaultKind::CrashWorker) {
-                            panic!(
-                                "injected worker crash at kernel '{}' split item {item}",
-                                kp.name
-                            );
-                        }
-                    }
-                    phase1_partition(kp, env_ref, &blocks[bi], pool, lo, hi)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(SfError::Internal {
-                        pass: format!("exec:{} split item {item}", kp.name),
-                        payload: panic_payload(payload),
-                    })
-                });
-                match result {
-                    // SAFETY: item indices are claimed uniquely off the
-                    // atomic queue, so this worker is the slot's only
-                    // writer; the only reader runs in the combine
-                    // dispatch, after `run_dispatch` has drained this
-                    // one.
-                    Ok(state) => unsafe { *slot.0.get() = Some(state) },
-                    Err(e) => {
-                        failures
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push((item, e));
-                        return;
-                    }
-                }
-            }
-        });
-        if panicked {
-            return Err(SfError::Internal {
-                pass: format!("exec:{}", kp.name),
-                payload: "worker panicked outside split-item isolation".into(),
-            });
-        }
-        take_earliest_failure(&failures)?;
+                let (lo, hi) = tiles.partition_tiles(p);
+                let state = phase1_partition(kp, tiles, env_ref, &blocks[bi], pool, lo, hi)?;
+                // SAFETY: item indices are claimed uniquely off the
+                // atomic queue, so this worker is the slot's only
+                // writer; the only reader runs in the combine
+                // dispatch, after `run_dispatch` has drained this
+                // one.
+                unsafe { *partials[item].0.get() = Some(state) };
+                Ok(())
+            },
+        )?;
 
         // Dispatch 2: fold each block's partitions and finalize it.
-        let workers = threads.min(blocks.len());
-        let chunk = blocks.len().div_ceil(workers * 4).max(1);
-        let next = AtomicUsize::new(0);
-        let slots_ref: &[OutputSlot] = &slots;
-        let panicked = self.run_dispatch(workers, &|pool: &mut ScratchPool| loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= blocks.len() {
-                return;
-            }
-            let end = (start + chunk).min(blocks.len());
-            for bi in start..end {
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut accs: Option<HashMap<ValueId, Tensor>> = None;
-                    for p in 0..partitions {
-                        // SAFETY: block `bi` is claimed by exactly one
-                        // combine worker, making this the sole reader
-                        // of its slots; every writer finished before
-                        // the phase-1 dispatch drained.
-                        let state = unsafe { (*partials_ref[bi * partitions + p].0.get()).take() }
-                            .ok_or_else(|| SfError::Internal {
-                                pass: format!("exec:{} combine block {bi}", kp.name),
-                                payload: format!("phase-1 state missing for partition {p}"),
-                            })?;
-                        accs = Some(match accs {
-                            None => state,
-                            Some(acc) => combine_partition_states(kp, acc, state, pool)?,
-                        });
-                    }
-                    let accs = accs.ok_or_else(|| {
-                        SfError::Codegen("split kernel with zero partitions".into())
-                    })?;
-                    finish_block(kp, env_ref, slots_ref, &blocks[bi], accs, pool)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(SfError::Internal {
-                        pass: format!("exec:{} combine block {bi}", kp.name),
-                        payload: panic_payload(payload),
-                    })
-                });
-                if let Err(e) = result {
-                    failures
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push((bi, e));
-                    return;
+        self.dispatch(
+            kp,
+            "combine block",
+            threads.min(blocks.len()),
+            blocks.len(),
+            None,
+            &|bi, pool| {
+                let mut accs: Option<HashMap<ValueId, Tensor>> = None;
+                for p in 0..partitions {
+                    // SAFETY: block `bi` is claimed by exactly one
+                    // combine worker, making this the sole reader
+                    // of its slots; every writer finished before
+                    // the phase-1 dispatch drained.
+                    let state = unsafe { (*partials[bi * partitions + p].0.get()).take() }
+                        .ok_or_else(|| SfError::Internal {
+                            pass: format!("exec:{} combine block {bi}", kp.name),
+                            payload: format!("phase-1 state missing for partition {p}"),
+                        })?;
+                    accs = Some(match accs {
+                        None => state,
+                        Some(acc) => combine_partition_states(kp, acc, state, pool)?,
+                    });
                 }
-            }
-        });
-        if panicked {
-            return Err(SfError::Internal {
-                pass: format!("exec:{}", kp.name),
-                payload: "worker panicked outside combine-block isolation".into(),
-            });
-        }
-        take_earliest_failure(&failures)?;
+                let accs = accs
+                    .ok_or_else(|| SfError::Codegen("split kernel with zero partitions".into()))?;
+                finish_block(kp, env_ref, &slots, &blocks[bi], accs, pool)
+            },
+        )?;
 
-        for slot in slots {
-            let (name, tensor) = slot.into_parts();
-            env.insert(name, tensor);
-        }
+        publish(slots, env);
         Ok(())
-    }
-}
-
-/// Returns the failure of the earliest work item recorded during a
-/// dispatch, independent of worker scheduling; `Ok` when none failed.
-fn take_earliest_failure(failures: &Mutex<Vec<(usize, SfError)>>) -> Result<()> {
-    let mut failures = failures.lock().unwrap_or_else(PoisonError::into_inner);
-    failures.sort_by_key(|&(i, _)| i);
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.remove(0).1)
     }
 }
 
@@ -571,76 +463,108 @@ unsafe impl Send for PartialSlot {}
 // access, ordered by the dispatch drain.
 unsafe impl Sync for PartialSlot {}
 
-/// Executes one spatial block behind a panic-isolation boundary,
-/// firing any armed exec-block fault first (inside the boundary, so an
-/// injected crash is caught like a real one).
-#[allow(clippy::too_many_arguments)]
-fn run_block(
+/// Runs one work item (`what` number `idx` of `n`) behind a
+/// panic-isolation boundary, firing any armed exec-block fault first
+/// (inside the boundary, so an injected crash is caught like a real
+/// one).
+fn isolated<T>(
     kp: &KernelProgram,
-    env: &HashMap<String, Tensor>,
-    outputs: &[OutputSlot],
-    block: &Restrict,
-    pool: &mut ScratchPool,
+    what: &str,
+    idx: usize,
+    n: usize,
     faults: Option<&FaultInjector>,
-    block_idx: usize,
-    n_blocks: usize,
-) -> Result<()> {
+    f: impl FnOnce() -> Result<T>,
+) -> Result<T> {
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if let Some(inj) = faults {
-            if inj.fire_block(&kp.name, block_idx, n_blocks) == Some(FaultKind::CrashWorker) {
-                panic!(
-                    "injected worker crash at kernel '{}' block {block_idx}",
-                    kp.name
-                );
+            if inj.fire_block(&kp.name, idx, n) == Some(FaultKind::CrashWorker) {
+                panic!("injected worker crash at kernel '{}' {what} {idx}", kp.name);
             }
         }
-        execute_block(kp, env, outputs, block, pool)
+        f()
     }))
     .unwrap_or_else(|payload| {
         Err(SfError::Internal {
-            pass: format!("exec:{} block {block_idx}", kp.name),
+            pass: format!("exec:{} {what} {idx}", kp.name),
             payload: panic_payload(payload),
         })
     })
 }
 
-/// Enumerates the spatial block restrictions in row-major block order.
-fn enumerate_blocks(s: &crate::sched::FusedSchedule) -> Vec<Restrict> {
-    let block_counts: Vec<usize> = s
-        .spatial
+/// The output slots a store list of the plan names.
+fn stored<'a>(
+    outputs: &'a [OutputSlot],
+    stores: &'a [ValueId],
+) -> impl Iterator<Item = &'a OutputSlot> {
+    outputs
         .iter()
-        .map(|&(d, b)| s.smg.extent(d).div_ceil(b))
-        .collect();
-    let mut blocks = Vec::with_capacity(block_counts.iter().product::<usize>().max(1));
-    let mut block_idx = vec![0usize; s.spatial.len()];
-    loop {
-        blocks.push(
-            s.spatial
-                .iter()
-                .zip(&block_idx)
-                .map(|(&(d, b), &i)| {
-                    let start = i * b;
-                    (d, (start, (start + b).min(s.smg.extent(d))))
-                })
-                .collect(),
-        );
-        // Advance the multi-index.
-        let mut carry = true;
-        for (i, c) in block_idx.iter_mut().zip(&block_counts) {
-            if carry {
-                *i += 1;
-                if *i == *c {
-                    *i = 0;
-                } else {
-                    carry = false;
-                }
+        .filter(move |slot| stores.contains(&slot.value))
+}
+
+/// The aggregation payload (Simple / UTA factors) of the kernel's sliced
+/// reductions, indexed by [`Step::Reduce`]'s `idx`.
+fn sliced_reductions(kp: &KernelProgram) -> Result<&[SlicedReduction]> {
+    kp.schedule
+        .temporal
+        .as_ref()
+        .map(|t| t.plan.sliced.as_slice())
+        .ok_or_else(|| SfError::Codegen("sliced plan without temporal slicing".into()))
+}
+
+/// The values one block has computed so far, by the section that
+/// produces them.
+#[derive(Default)]
+struct Computed {
+    /// Op outputs on the current intra-block tile.
+    tile: HashMap<ValueId, Tensor>,
+    /// Running (phase 1) then finalized aggregates of the sliced
+    /// reductions.
+    accs: HashMap<ValueId, Tensor>,
+    /// Block-level op outputs.
+    block: HashMap<ValueId, Tensor>,
+}
+
+impl Computed {
+    /// View of `v` for an op evaluated under `restrict`. A tile value
+    /// shadows the aggregates, which shadow block-level values — each
+    /// section only ever sees the maps filled before it — and anything
+    /// else is a global, viewed directly in `env` storage.
+    fn view<'a>(
+        &'a self,
+        kp: &KernelProgram,
+        env: &'a HashMap<String, Tensor>,
+        v: ValueId,
+        restrict: &Restrict,
+    ) -> Result<TensorView<'a>> {
+        for computed in [&self.tile, &self.accs, &self.block] {
+            if let Some(t) = computed.get(&v) {
+                return Ok(t.view());
             }
         }
-        if carry {
-            break;
-        }
+        let value = kp.graph.value(v);
+        let full = env
+            .get(&value.name)
+            .ok_or_else(|| SfError::Codegen(format!("missing binding '{}'", value.name)))?;
+        let full = if full.shape() == &value.shape {
+            full.view()
+        } else {
+            // The binding was materialized upstream of a layout barrier
+            // and carries the producing kernel's layout; view it under
+            // this segment's declared shape before extracting the tile.
+            full.view_reshaped(value.shape.clone())?
+        };
+        // Zero-copy view of the restricted sub-tensor.
+        let ranges = kp.plan().ranges(&kp.graph, v, restrict);
+        full.slice(&ranges).map_err(Into::into)
     }
-    blocks
+}
+
+/// Returns a section's buffers to the worker's pool for the next tile or
+/// block on this worker.
+fn recycle(values: &mut HashMap<ValueId, Tensor>, pool: &mut ScratchPool) {
+    for (_, tensor) in values.drain() {
+        pool.recycle_tensor(tensor);
+    }
 }
 
 fn execute_block(
@@ -650,45 +574,22 @@ fn execute_block(
     spatial: &Restrict,
     pool: &mut ScratchPool,
 ) -> Result<()> {
-    let graph = &kp.graph;
-    let s = &kp.schedule;
-    let Some(t) = &s.temporal else {
-        // Unsliced block: evaluate everything on the block tile.
-        let mut local: HashMap<ValueId, Tensor> = HashMap::new();
-        for (oi, op) in graph.ops().iter().enumerate() {
-            let out = eval_op(graph, &s.smg, oi, spatial, pool, &|v| {
-                value_view(graph, &s.smg, env, &local, v, spatial)
-            })?;
-            local.insert(op.output, out);
-        }
-        for slot in outputs {
-            let tile = local
-                .get(&slot.value)
-                .ok_or_else(|| SfError::Codegen("output not computed".into()))?;
-            scatter(graph, &s.smg, slot, spatial, tile)?;
-        }
-        for (_, tensor) in local.drain() {
-            pool.recycle_tensor(tensor);
-        }
-        return Ok(());
-    };
-
-    let n_tiles = s.smg.extent(t.plan.dim).div_ceil(t.block);
-
     // Phase 1 over each split-K partition's tile range (one partition
     // spanning every tile when unsplit), folding the partial aggregate
     // states in fixed partition order. The parallel split path computes
     // the same per-partition states concurrently and folds them in the
     // same order, so results are bit-identical at every thread count.
     let mut accs: HashMap<ValueId, Tensor> = HashMap::new();
-    for p in 0..t.partitions() {
-        let (lo, hi) = t.partition_tiles(n_tiles, p);
-        let state = phase1_partition(kp, env, spatial, pool, lo, hi)?;
-        accs = if p == 0 {
-            state
-        } else {
-            combine_partition_states(kp, accs, state, pool)?
-        };
+    if let Some(tiles) = &kp.plan().tiles {
+        for p in 0..tiles.partitions {
+            let (lo, hi) = tiles.partition_tiles(p);
+            let state = phase1_partition(kp, tiles, env, spatial, pool, lo, hi)?;
+            accs = if p == 0 {
+                state
+            } else {
+                combine_partition_states(kp, accs, state, pool)?
+            };
+        }
     }
     finish_block(kp, env, outputs, spatial, accs, pool)
 }
@@ -702,6 +603,7 @@ fn execute_block(
 /// partial state later folded by [`combine_partition_states`].
 fn phase1_partition(
     kp: &KernelProgram,
+    tiles: &TileLoop,
     env: &HashMap<String, Tensor>,
     spatial: &Restrict,
     pool: &mut ScratchPool,
@@ -709,60 +611,36 @@ fn phase1_partition(
     tile_hi: usize,
 ) -> Result<HashMap<ValueId, Tensor>> {
     let graph = &kp.graph;
-    let s = &kp.schedule;
-    let t = s
-        .temporal
-        .as_ref()
-        .ok_or_else(|| SfError::Codegen("phase-1 partition without temporal slicing".into()))?;
-    let dim = t.plan.dim;
-    let extent = s.smg.extent(dim);
+    let sliced = sliced_reductions(kp)?;
 
-    // Outputs of UTA update-factor dependencies. Their pre-tile values
-    // are double-buffered in `prev` by moving them out of `accs` at
+    // `prev` double-buffers the pre-tile values of the UTA update-factor
+    // dependencies (`tiles.uta_deps`): they are moved out of `accs` at
     // re-aggregation time, replacing the old whole-map `accs.clone()`
     // snapshot per tile.
-    let uta_deps: Vec<ValueId> = t
-        .plan
-        .sliced
-        .iter()
-        .filter_map(|sl| match &sl.agg {
-            AggKind::Uta(factors) => Some(factors.as_slice()),
-            _ => None,
-        })
-        .flatten()
-        .map(|f| graph.ops()[f.dep.0].output)
-        .collect();
-
-    let mut accs: HashMap<ValueId, Tensor> = HashMap::new();
+    let mut vals = Computed::default();
     let mut prev: HashMap<ValueId, Tensor> = HashMap::new();
-    let mut local: HashMap<ValueId, Tensor> = HashMap::new();
     for tile in tile_lo..tile_hi {
-        let start = tile * t.block;
-        let mut restrict = spatial.clone();
-        restrict.push((dim, (start, (start + t.block).min(extent))));
-
-        for (_, stale) in prev.drain() {
-            pool.recycle_tensor(stale);
-        }
-        for (oi, op) in graph.ops().iter().enumerate() {
-            if !kp.needed_phase1[oi] || kp.roles[oi] == OpRole::PostLoop {
-                continue;
-            }
-            match kp.roles[oi] {
-                OpRole::SlicedReduction(idx) => {
+        let restrict = tiles.tile_restrict(spatial, tile);
+        recycle(&mut prev, pool);
+        for step in &tiles.phase1 {
+            let out = graph.ops()[step.op()].output;
+            match *step {
+                Step::Op(oi) => {
+                    let value = eval_op(kp, env, &vals, oi, &restrict, pool)?;
+                    vals.tile.insert(out, value);
+                }
+                Step::Reduce { op: oi, idx } => {
                     let partial =
-                        eval_sliced_partial(graph, &s.smg, oi, dim, &restrict, pool, &|v| {
-                            reduction_input_view(graph, &s.smg, env, &local, &accs, v, &restrict)
-                        })?;
-                    let agg = &t.plan.sliced[idx].agg;
-                    let combined = match accs.remove(&op.output) {
+                        eval_sliced_partial(kp, env, &vals, oi, tiles.dim, &restrict, pool)?;
+                    let combined = match vals.accs.remove(&out) {
                         None => partial,
                         Some(old) => {
-                            let combined = match agg {
+                            let combined = match &sliced[idx].agg {
                                 AggKind::Simple => combine(graph, oi, &old, &partial, pool)?,
                                 AggKind::Uta(factors) => {
-                                    let updated =
-                                        apply_update(graph, &old, factors, &prev, &accs, pool)?;
+                                    let updated = apply_update(
+                                        graph, &old, factors, &prev, &vals.accs, pool,
+                                    )?;
                                     let combined = combine(graph, oi, &updated, &partial, pool)?;
                                     pool.recycle_tensor(updated);
                                     combined
@@ -771,32 +649,22 @@ fn phase1_partition(
                             pool.recycle_tensor(partial);
                             // Later UTA updates in this tile read the
                             // dependency's pre-tile value from `prev`.
-                            if uta_deps.contains(&op.output) {
-                                prev.insert(op.output, old);
+                            if tiles.uta_deps.contains(&out) {
+                                prev.insert(out, old);
                             } else {
                                 pool.recycle_tensor(old);
                             }
                             combined
                         }
                     };
-                    accs.insert(op.output, combined);
-                }
-                _ => {
-                    let out = eval_op(graph, &s.smg, oi, &restrict, pool, &|v| {
-                        reduction_input_view(graph, &s.smg, env, &local, &accs, v, &restrict)
-                    })?;
-                    local.insert(op.output, out);
+                    vals.accs.insert(out, combined);
                 }
             }
         }
-        for (_, tensor) in local.drain() {
-            pool.recycle_tensor(tensor);
-        }
+        recycle(&mut vals.tile, pool);
     }
-    for (_, tensor) in prev.drain() {
-        pool.recycle_tensor(tensor);
-    }
-    Ok(accs)
+    recycle(&mut prev, pool);
+    Ok(vals.accs)
 }
 
 /// Folds partition `right`'s partial aggregate states into `left`
@@ -814,18 +682,13 @@ fn phase1_partition(
 /// FlashDecoding fixup `o = o_a·(s_a/s)·e^(m_a−m) + o_b·(s_b/s)·e^(m_b−m)`.
 fn combine_partition_states(
     kp: &KernelProgram,
-    left: HashMap<ValueId, Tensor>,
-    right: HashMap<ValueId, Tensor>,
+    mut left: HashMap<ValueId, Tensor>,
+    mut right: HashMap<ValueId, Tensor>,
     pool: &mut ScratchPool,
 ) -> Result<HashMap<ValueId, Tensor>> {
     let graph = &kp.graph;
-    let t = kp
-        .schedule
-        .temporal
-        .as_ref()
-        .ok_or_else(|| SfError::Codegen("combine without temporal slicing".into()))?;
     let mut combined: HashMap<ValueId, Tensor> = HashMap::new();
-    for sl in &t.plan.sliced {
+    for sl in sliced_reductions(kp)? {
         let out = graph.ops()[sl.op.0].output;
         let (l, r) = match (left.get(&out), right.get(&out)) {
             (Some(l), Some(r)) => (l, r),
@@ -846,214 +709,90 @@ fn combine_partition_states(
         };
         combined.insert(out, merged);
     }
-    for (_, tensor) in left.into_iter().chain(right) {
-        pool.recycle_tensor(tensor);
-    }
+    recycle(&mut left, pool);
+    recycle(&mut right, pool);
     Ok(combined)
 }
 
-/// Finalizes a block from its folded aggregate states: mean division,
-/// post-loop ops, the phase-2 output re-stream, and the scatters into
-/// the shared output slots.
+/// Finalizes a block from its folded aggregate states (none for an
+/// unsliced kernel): mean division, the block-level ops, the phase-2
+/// output re-stream, and the scatters into the shared output slots.
 fn finish_block(
     kp: &KernelProgram,
     env: &HashMap<String, Tensor>,
     outputs: &[OutputSlot],
     spatial: &Restrict,
-    mut accs: HashMap<ValueId, Tensor>,
+    accs: HashMap<ValueId, Tensor>,
     pool: &mut ScratchPool,
 ) -> Result<()> {
     let graph = &kp.graph;
-    let s = &kp.schedule;
-    let t = s
-        .temporal
-        .as_ref()
-        .ok_or_else(|| SfError::Codegen("finish without temporal slicing".into()))?;
-    let dim = t.plan.dim;
-    let extent = s.smg.extent(dim);
-    let n_tiles = extent.div_ceil(t.block);
-    let mut local: HashMap<ValueId, Tensor> = HashMap::new();
+    let plan = kp.plan();
+    let mut vals = Computed {
+        accs,
+        ..Computed::default()
+    };
 
     // Finalize mean accumulators (in place; same scalar division the
     // reference `binary_scalar(Div, ...)` performs).
-    for (oi, op) in graph.ops().iter().enumerate() {
-        if let OpRole::SlicedReduction(_) = kp.roles[oi] {
+    if let Some(tiles) = &plan.tiles {
+        for step in &tiles.phase1 {
+            let Step::Reduce { op, .. } = *step else {
+                continue;
+            };
+            let op = &graph.ops()[op];
             if let OpKind::Reduce {
                 op: ReduceOp::Mean, ..
             } = op.kind
             {
-                if let Some(acc) = accs.get_mut(&op.output) {
+                if let Some(acc) = vals.accs.get_mut(&op.output) {
                     for v in acc.data_mut() {
-                        *v /= extent as f32;
+                        *v /= tiles.extent as f32;
                     }
                 }
             }
         }
     }
 
-    // Post-loop ops on finalized aggregates.
-    let no_local: HashMap<ValueId, Tensor> = HashMap::new();
-    let mut post: HashMap<ValueId, Tensor> = HashMap::new();
-    for (oi, op) in graph.ops().iter().enumerate() {
-        if kp.roles[oi] != OpRole::PostLoop {
-            continue;
-        }
-        let out = eval_op(graph, &s.smg, oi, spatial, pool, &|v| {
-            if let Some(a) = accs.get(&v) {
-                return Ok(a.view());
-            }
-            if let Some(p) = post.get(&v) {
-                return Ok(p.view());
-            }
-            value_view(graph, &s.smg, env, &no_local, v, spatial)
-        })?;
-        post.insert(op.output, out);
+    // Block-level ops, on the finalized aggregates.
+    for &oi in &plan.block_ops {
+        let out = eval_op(kp, env, &vals, oi, spatial, pool)?;
+        vals.block.insert(graph.ops()[oi].output, out);
     }
 
     // Phase 2: re-stream tiles to produce outputs spanning the sliced
     // dimension, now with finalized aggregates.
-    if t.plan.two_phase {
-        for tile in 0..n_tiles {
-            let start = tile * t.block;
-            let mut restrict = spatial.clone();
-            restrict.push((dim, (start, (start + t.block).min(extent))));
-            for (oi, op) in graph.ops().iter().enumerate() {
-                if kp.roles[oi] != OpRole::InLoop || !kp.needed_output[oi] {
-                    continue;
-                }
-                let out = eval_op(graph, &s.smg, oi, &restrict, pool, &|v| {
-                    if let Some(l) = local.get(&v) {
-                        return Ok(l.view());
-                    }
-                    if let Some(a) = accs.get(&v) {
-                        return Ok(a.view());
-                    }
-                    if let Some(p) = post.get(&v) {
-                        return Ok(p.view());
-                    }
-                    value_view(graph, &s.smg, env, &no_local, v, &restrict)
-                })?;
-                local.insert(op.output, out);
+    if let Some((tiles, p2)) = plan.phase2() {
+        for tile in 0..tiles.n_tiles() {
+            let restrict = tiles.tile_restrict(spatial, tile);
+            for &oi in &p2.ops {
+                let out = eval_op(kp, env, &vals, oi, &restrict, pool)?;
+                vals.tile.insert(graph.ops()[oi].output, out);
             }
-            for slot in outputs {
-                if s.smg.value_has_dim(graph, slot.value, dim) {
-                    let tile_val = local
-                        .get(&slot.value)
-                        .ok_or_else(|| SfError::Codegen("phase-2 output missing".into()))?;
-                    scatter(graph, &s.smg, slot, &restrict, tile_val)?;
-                }
+            for slot in stored(outputs, &p2.tile_stores) {
+                let value = vals
+                    .tile
+                    .get(&slot.value)
+                    .ok_or_else(|| SfError::Codegen("phase-2 output missing".into()))?;
+                scatter(kp, slot, &restrict, value)?;
             }
-            for (_, tensor) in local.drain() {
-                pool.recycle_tensor(tensor);
-            }
+            recycle(&mut vals.tile, pool);
         }
     }
 
     // Outputs that do not span the sliced dimension come from the
-    // aggregates / post-loop values.
-    for slot in outputs {
-        if s.smg.value_has_dim(graph, slot.value, dim) {
-            continue; // written in phase 2.
-        }
-        let tile = accs
+    // aggregates / block-level values.
+    for slot in stored(outputs, &plan.block_stores) {
+        let value = vals
+            .accs
             .get(&slot.value)
-            .or_else(|| post.get(&slot.value))
+            .or_else(|| vals.block.get(&slot.value))
             .ok_or_else(|| SfError::Codegen("block output missing".into()))?;
-        scatter(graph, &s.smg, slot, spatial, tile)?;
+        scatter(kp, slot, spatial, value)?;
     }
 
-    // Recycle the block's remaining buffers for the next block on this
-    // worker.
-    for (_, tensor) in accs.drain() {
-        pool.recycle_tensor(tensor);
-    }
-    for (_, tensor) in post.drain() {
-        pool.recycle_tensor(tensor);
-    }
+    recycle(&mut vals.accs, pool);
+    recycle(&mut vals.block, pool);
     Ok(())
-}
-
-/// View of a value restricted to the given ranges: computed tiles come
-/// from `local`, globals are viewed directly in `env` storage.
-fn value_view<'a>(
-    graph: &Graph,
-    smg: &Smg,
-    env: &'a HashMap<String, Tensor>,
-    local: &'a HashMap<ValueId, Tensor>,
-    v: ValueId,
-    restrict: &Restrict,
-) -> Result<TensorView<'a>> {
-    if let Some(t) = local.get(&v) {
-        return Ok(t.view());
-    }
-    let name = &graph.value(v).name;
-    let full = env
-        .get(name)
-        .ok_or_else(|| SfError::Codegen(format!("missing binding '{name}'")))?;
-    let declared = &graph.value(v).shape;
-    if full.shape() != declared {
-        // The binding was materialized upstream of a layout barrier and
-        // carries the producing kernel's layout; view it under this
-        // segment's declared shape before extracting the block tile.
-        let reinterpreted = full.view_reshaped(declared.clone())?;
-        return extract(graph, smg, reinterpreted, v, restrict);
-    }
-    extract(graph, smg, full.view(), v, restrict)
-}
-
-/// Like [`value_view`] but lets running aggregates shadow global values.
-fn reduction_input_view<'a>(
-    graph: &Graph,
-    smg: &Smg,
-    env: &'a HashMap<String, Tensor>,
-    local: &'a HashMap<ValueId, Tensor>,
-    accs: &'a HashMap<ValueId, Tensor>,
-    v: ValueId,
-    restrict: &Restrict,
-) -> Result<TensorView<'a>> {
-    if let Some(t) = local.get(&v) {
-        return Ok(t.view());
-    }
-    if let Some(a) = accs.get(&v) {
-        return Ok(a.view());
-    }
-    value_view(graph, smg, env, local, v, restrict)
-}
-
-/// Per-axis `[start, end)` ranges of `v` under a restriction.
-fn restricted_ranges(
-    graph: &Graph,
-    smg: &Smg,
-    v: ValueId,
-    restrict: &Restrict,
-) -> Vec<(usize, usize)> {
-    graph
-        .shape(v)
-        .dims()
-        .iter()
-        .enumerate()
-        .map(|(axis, &e)| {
-            let d = smg.value_axes[v.0][axis];
-            if e == smg.extent(d) {
-                if let Some(&(_, (s, t))) = restrict.iter().find(|&&(rd, _)| rd == d) {
-                    return (s.min(e), t.min(e));
-                }
-            }
-            (0, e)
-        })
-        .collect()
-}
-
-/// Zero-copy view of the restricted sub-tensor of a full value.
-fn extract<'a>(
-    graph: &Graph,
-    smg: &Smg,
-    full: TensorView<'a>,
-    v: ValueId,
-    restrict: &Restrict,
-) -> Result<TensorView<'a>> {
-    let ranges = restricted_ranges(graph, smg, v, restrict);
-    full.slice(&ranges).map_err(Into::into)
 }
 
 /// Writes a tile into its disjoint region of the shared output buffer.
@@ -1064,13 +803,12 @@ fn extract<'a>(
 /// the region into contiguous runs copied slice-to-slice, exactly like
 /// the old in-place scatter but without taking any mutex.
 fn scatter(
-    graph: &Graph,
-    smg: &Smg,
+    kp: &KernelProgram,
     slot: &OutputSlot,
     restrict: &Restrict,
     tile: &Tensor,
 ) -> Result<()> {
-    let ranges = restricted_ranges(graph, smg, slot.value, restrict);
+    let ranges = kp.plan().ranges(&kp.graph, slot.value, restrict);
     let out_dims: Vec<usize> = ranges.iter().map(|&(s, t)| t - s).collect();
     if out_dims != tile.shape().dims() {
         return Err(SfError::Codegen(format!(
@@ -1084,41 +822,27 @@ fn scatter(
 }
 
 /// Evaluates one (non-sliced) operator on restricted views.
-fn eval_op<'a>(
-    graph: &Graph,
-    smg: &Smg,
+fn eval_op(
+    kp: &KernelProgram,
+    env: &HashMap<String, Tensor>,
+    vals: &Computed,
     op_idx: usize,
     restrict: &Restrict,
     pool: &mut ScratchPool,
-    get: &dyn Fn(ValueId) -> Result<TensorView<'a>>,
 ) -> Result<Tensor> {
-    let op = &graph.ops()[op_idx];
+    let op = &kp.graph.ops()[op_idx];
+    let get = |i: usize| vals.view(kp, env, op.inputs[i], restrict);
     let out = match &op.kind {
-        OpKind::Gemm { transpose_b } => {
-            let a = get(op.inputs[0])?;
-            let b = get(op.inputs[1])?;
-            viewed::matmul(&a, &b, *transpose_b, pool)?
-        }
-        OpKind::Unary(u) => viewed::unary(*u, &get(op.inputs[0])?, pool),
-        OpKind::Binary(b) => {
-            let x = get(op.inputs[0])?;
-            let y = get(op.inputs[1])?;
-            viewed::binary(*b, &x, &y, pool)?
-        }
-        OpKind::Scalar { op: b, value } => {
-            viewed::binary_scalar(*b, &get(op.inputs[0])?, *value, pool)
-        }
-        OpKind::Reduce { op: r, dim } => viewed::reduce(*r, &get(op.inputs[0])?, *dim, pool)?,
+        OpKind::Gemm { transpose_b } => viewed::matmul(&get(0)?, &get(1)?, *transpose_b, pool)?,
+        OpKind::Unary(u) => viewed::unary(*u, &get(0)?, pool),
+        OpKind::Binary(b) => viewed::binary(*b, &get(0)?, &get(1)?, pool)?,
+        OpKind::Scalar { op: b, value } => viewed::binary_scalar(*b, &get(0)?, *value, pool),
+        OpKind::Reduce { op: r, dim } => viewed::reduce(*r, &get(0)?, *dim, pool)?,
         OpKind::Broadcast { dim, .. } => {
             // The broadcast target extent is the *restricted* extent.
-            let d = smg.value_axes[op.output.0][*dim];
-            let full = smg.extent(d);
-            let ext = restrict
-                .iter()
-                .find(|&&(rd, _)| rd == d)
-                .map(|&(_, (s, t))| (t - s).min(full))
-                .unwrap_or(full);
-            viewed::broadcast_to(&get(op.inputs[0])?, *dim, ext, pool)?
+            let extent = kp.graph.shape(op.output).dims()[*dim];
+            let (s, t) = kp.plan().axes(op.output)[*dim].range(extent, restrict);
+            viewed::broadcast_to(&get(0)?, *dim, t - s, pool)?
         }
         OpKind::LayoutBarrier => {
             return Err(SfError::Codegen("layout barrier inside a kernel".into()))
@@ -1130,26 +854,23 @@ fn eval_op<'a>(
 /// Evaluates the partial result of a sliced reduction on one tile.
 ///
 /// Mean reductions accumulate raw sums (finalized at loop end).
-fn eval_sliced_partial<'a>(
-    graph: &Graph,
-    smg: &Smg,
+fn eval_sliced_partial(
+    kp: &KernelProgram,
+    env: &HashMap<String, Tensor>,
+    vals: &Computed,
     op_idx: usize,
     dim: DimId,
-    _restrict: &Restrict,
+    restrict: &Restrict,
     pool: &mut ScratchPool,
-    get: &dyn Fn(ValueId) -> Result<TensorView<'a>>,
 ) -> Result<Tensor> {
-    let op = &graph.ops()[op_idx];
+    let op = &kp.graph.ops()[op_idx];
     match &op.kind {
-        OpKind::Gemm { transpose_b } => {
-            let a = get(op.inputs[0])?;
-            let b = get(op.inputs[1])?;
-            Ok(viewed::matmul(&a, &b, *transpose_b, pool)?)
-        }
+        // A sliced GEMM contracts over the tile like any other.
+        OpKind::Gemm { .. } => eval_op(kp, env, vals, op_idx, restrict, pool),
         OpKind::Reduce { op: r, dim: axis } => {
-            let input = get(op.inputs[0])?;
+            let input = vals.view(kp, env, op.inputs[0], restrict)?;
             // Sanity: the reduce axis must be the sliced dimension.
-            debug_assert_eq!(smg.value_axes[op.inputs[0].0][*axis], dim);
+            debug_assert_eq!(kp.schedule.smg.value_axes[op.inputs[0].0][*axis], dim);
             let kind = if *r == ReduceOp::Mean {
                 ReduceOp::Sum
             } else {

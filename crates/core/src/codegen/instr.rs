@@ -1,7 +1,7 @@
 //! A linear instruction form of a scheduled kernel.
 //!
-//! [`emit_pseudocode`](super::emit_pseudocode) renders kernels for
-//! humans; this module lowers the same structure into a small
+//! [`emit_pseudocode`](super::emit_pseudocode) renders a kernel's
+//! [`KernelPlan`] for humans; this module renders it as a small
 //! instruction stream that analyses can walk mechanically: staged
 //! cooperative loads, block-wide barriers, per-operator computes with
 //! explicit operand locations, the intra-block loop boundaries and the
@@ -14,11 +14,12 @@
 //! block-visible intermediate — is followed by a block barrier before
 //! other threads may read the buffer.
 
+use super::plan::{sliced_agg, AxisTile, KernelPlan, Step};
 use super::program::KernelProgram;
-use crate::sched::{MemLevel, OpRole};
+use crate::sched::{FusedSchedule, MemLevel};
 use crate::slicer::AggKind;
 use crate::smg::DimId;
-use sf_ir::{OpId, ValueId, ValueKind};
+use sf_ir::{Graph, OpId, ValueId, ValueKind};
 use sf_tensor::ops::BinaryOp;
 
 /// Where an operand access lands in the memory hierarchy.
@@ -36,10 +37,10 @@ pub enum MemSpace {
 /// the spatial block index — the region algebra of the disjoint-write
 /// prover ([`crate::verify::races`], DESIGN.md §3h).
 ///
-/// The forms mirror exactly what the interpreter's scatter does
-/// (`restricted_ranges` in [`exec`](super::exec)): an axis aligned to a
-/// spatially restricted dimension with matching extent receives the
-/// block's tile, every other axis is written in full by every block.
+/// The forms are read off the same axis resolution
+/// ([`KernelPlan::axes`]) the executor's scatter uses: an axis aligned
+/// to a spatially restricted dimension with matching extent receives
+/// the block's tile, every other axis is written in full by every block.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AxisWrite {
     /// Block `i` along `dim` writes `[i*block, min(i*block + span, clamp))`
@@ -150,42 +151,239 @@ pub enum Instr {
     },
 }
 
-/// Symbolic write footprint of storing `v` under `kp`'s schedule.
-///
-/// Derivation mirrors the interpreter's `restricted_ranges`: an axis is
-/// tiled iff its declared extent equals the global extent of the dimension
-/// it is aligned to *and* that dimension is spatially restricted;
-/// otherwise the whole axis is written by every block. Broken alignment
-/// metadata (rank mismatch, dangling dimension ids) degrades to
-/// [`AxisWrite::Opaque`], which the prover reports as `RACE505`.
-pub fn store_region(kp: &KernelProgram, v: ValueId) -> Vec<AxisWrite> {
-    let s = &kp.schedule;
-    let dims = kp.graph.shape(v).dims().to_vec();
-    let axes = match s.smg.value_axes.get(v.0) {
-        Some(a) if a.len() == dims.len() => a,
-        _ => return vec![AxisWrite::Opaque; dims.len().max(1)],
-    };
-    dims.iter()
-        .zip(axes)
-        .map(|(&e, &d)| {
-            if d.0 >= s.smg.dims.len() {
-                return AxisWrite::Opaque;
-            }
-            let extent_d = s.smg.extent(d);
-            if e == extent_d {
-                if let Some(&(_, b)) = s.spatial.iter().find(|&&(rd, _)| rd == d) {
-                    return AxisWrite::Tiled {
-                        dim: d,
-                        block: b,
-                        span: b,
-                        clamp: extent_d,
+/// What the lowering reads: a kernel's graph and schedule, and the
+/// [`KernelPlan`] whose sections it renders as instructions.
+struct Lowering<'a> {
+    graph: &'a Graph,
+    s: &'a FusedSchedule,
+    plan: &'a KernelPlan,
+}
+
+impl<'a> Lowering<'a> {
+    /// The lowering of `kp` as constructed.
+    fn of(kp: &'a KernelProgram) -> Self {
+        Lowering {
+            graph: &kp.graph,
+            s: &kp.schedule,
+            plan: kp.plan(),
+        }
+    }
+
+    /// See [`store_region`].
+    fn store_region(&self, v: ValueId) -> Vec<AxisWrite> {
+        let s = self.s;
+        self.graph
+            .shape(v)
+            .dims()
+            .iter()
+            .zip(self.plan.axes(v))
+            .map(|(&e, axis)| match *axis {
+                AxisTile::Opaque => AxisWrite::Opaque,
+                // Only spatial blocks run concurrently on an output: a
+                // temporal tile slot leaves the axis written in full
+                // over the block's lifetime.
+                AxisTile::Tiled { slot } if usize::from(slot) < s.spatial.len() => {
+                    let (dim, block) = s.spatial[usize::from(slot)];
+                    AxisWrite::Tiled {
+                        dim,
+                        block,
+                        span: block,
+                        clamp: s.smg.extent(dim),
                         extent: e,
-                    };
+                    }
+                }
+                AxisTile::Tiled { .. } | AxisTile::Full => AxisWrite::Full { extent: e },
+            })
+            .collect()
+    }
+
+    /// See [`partial_region`].
+    fn partial_region(&self, v: ValueId) -> Vec<AxisWrite> {
+        let Some(tiles) = &self.plan.tiles else {
+            return vec![AxisWrite::Opaque];
+        };
+        if tiles.dim.0 >= self.s.smg.dims.len() {
+            return vec![AxisWrite::Opaque];
+        }
+        let stride = tiles.partition_stride();
+        let mut region = vec![AxisWrite::Tiled {
+            dim: tiles.dim,
+            block: stride,
+            span: stride,
+            clamp: tiles.extent,
+            extent: tiles.extent,
+        }];
+        region.extend(self.store_region(v));
+        region
+    }
+
+    fn store(&self, value: ValueId) -> Instr {
+        Instr::Store {
+            value,
+            region: self.store_region(value),
+        }
+    }
+
+    fn store_partial(&self, value: ValueId) -> Instr {
+        Instr::StorePartial {
+            value,
+            region: self.partial_region(value),
+        }
+    }
+
+    /// Memory space an operand is read from.
+    fn read_space(&self, v: ValueId) -> MemSpace {
+        match self.graph.value(v).kind {
+            ValueKind::Input | ValueKind::Weight => {
+                if self.s.is_staged(v) {
+                    MemSpace::Shared
+                } else {
+                    MemSpace::Global
                 }
             }
-            AxisWrite::Full { extent: e }
-        })
-        .collect()
+            ValueKind::Intermediate => match self.s.level(v) {
+                MemLevel::Shared => MemSpace::Shared,
+                // Global-level intermediates (kernel outputs) stream back
+                // through registers; reads of them inside the kernel see
+                // the register copy.
+                MemLevel::Register | MemLevel::Global => MemSpace::Register,
+            },
+        }
+    }
+
+    /// Memory space an op output is written to.
+    fn write_space(&self, v: ValueId) -> MemSpace {
+        match self.s.level(v) {
+            MemLevel::Shared => MemSpace::Shared,
+            MemLevel::Register | MemLevel::Global => MemSpace::Register,
+        }
+    }
+
+    /// Appends op `oi` as a [`Instr::Compute`], with a trailing barrier
+    /// when the result is published to shared memory. `sliced` is the
+    /// reduction's index in the temporal plan when the op is a phase-1
+    /// sliced reduction.
+    fn push_compute(&self, out: &mut Vec<Instr>, oi: usize, sliced: Option<usize>) {
+        let op = &self.graph.ops()[oi];
+        let mut reads: Vec<(ValueId, MemSpace)> =
+            op.inputs.iter().map(|&i| (i, self.read_space(i))).collect();
+        // A UTA update additionally reads the accumulators of the earlier
+        // sliced reductions it rescales by (paper Fig. 7, right).
+        if let Some(AggKind::Uta(factors)) = sliced.and_then(|idx| sliced_agg(self.s, idx)) {
+            for f in factors {
+                if let Some(dep) = self.graph.ops().get(f.dep.0) {
+                    reads.push((dep.output, MemSpace::Register));
+                }
+            }
+        }
+        let w = self.write_space(op.output);
+        out.push(Instr::Compute {
+            op: OpId(oi),
+            reads,
+            write: (op.output, w),
+        });
+        if w == MemSpace::Shared {
+            out.push(Instr::Barrier);
+        }
+    }
+
+    /// Cooperative loads of the staged globals that do (`varying`) or
+    /// do not change per intra-block, followed by the barrier consumers
+    /// must wait on before reading an element another thread loaded.
+    fn push_staged_loads(&self, out: &mut Vec<Instr>, varying: bool) {
+        let before = out.len();
+        for g in &self.plan.globals {
+            if g.staged && g.varying == varying {
+                out.push(if varying {
+                    Instr::LoadTile { value: g.value }
+                } else {
+                    Instr::LoadBlock { value: g.value }
+                });
+            }
+        }
+        if out.len() > before {
+            out.push(Instr::Barrier);
+        }
+    }
+
+    /// The whole stream: staged whole-block loads, then the plan's
+    /// sections in order.
+    fn lower(&self) -> Vec<Instr> {
+        let plan = self.plan;
+        let mut out = Vec::new();
+        self.push_staged_loads(&mut out, false);
+        if let Some(tiles) = &plan.tiles {
+            out.push(Instr::LoopBegin { phase: 1 });
+            self.push_staged_loads(&mut out, true);
+            for step in &tiles.phase1 {
+                match *step {
+                    Step::Op(oi) => self.push_compute(&mut out, oi, None),
+                    Step::Reduce { op, idx } => self.push_compute(&mut out, op, Some(idx)),
+                }
+            }
+            out.push(Instr::LoopEnd { phase: 1 });
+
+            // Split-K: each partition parks its partial aggregate
+            // states (the phase-1 tail), then — after the pool drain —
+            // the combine phase folds them in fixed partition order.
+            if let Some(split) = &tiles.split {
+                out.extend(split.parks.iter().map(|&v| self.store_partial(v)));
+                out.extend(split.folds.iter().map(|&(op, spec)| Instr::Combine {
+                    op,
+                    partitions: tiles.partitions,
+                    combine: spec.op,
+                    rescaled: spec.rescale,
+                }));
+            }
+        }
+        for &oi in &plan.block_ops {
+            self.push_compute(&mut out, oi, None);
+        }
+        if let Some((_, p2)) = plan.phase2() {
+            out.push(Instr::LoopBegin { phase: 2 });
+            self.push_staged_loads(&mut out, true);
+            for &oi in &p2.ops {
+                self.push_compute(&mut out, oi, None);
+            }
+            out.extend(p2.tile_stores.iter().map(|&o| self.store(o)));
+            out.push(Instr::LoopEnd { phase: 2 });
+        }
+        out.extend(plan.block_stores.iter().map(|&o| self.store(o)));
+        out
+    }
+
+    /// Only the [`Instr::Store`] / [`Instr::StorePartial`] instructions
+    /// of [`lower`](Self::lower), in stream order.
+    fn lower_stores(&self) -> Vec<Instr> {
+        let plan = self.plan;
+        let split = plan.tiles.as_ref().and_then(|tiles| tiles.split.as_ref());
+        let parks = split.iter().flat_map(|sp| &sp.parks);
+        let tile_stores = plan
+            .phase2()
+            .into_iter()
+            .flat_map(|(_, p2)| &p2.tile_stores);
+        parks
+            .map(|&v| self.store_partial(v))
+            .chain(
+                tile_stores
+                    .chain(&plan.block_stores)
+                    .map(|&o| self.store(o)),
+            )
+            .collect()
+    }
+}
+
+/// Symbolic write footprint of storing `v` under `kp`'s schedule.
+///
+/// Read off the plan's axis resolution, i.e. exactly the ranges the
+/// executor's scatter writes: an axis is tiled iff its declared extent
+/// equals the global extent of the dimension it is aligned to *and* that
+/// dimension is spatially restricted; otherwise the whole axis is
+/// written by every block. Broken alignment metadata (rank mismatch,
+/// dangling dimension ids) degrades to [`AxisWrite::Opaque`], which the
+/// prover reports as `RACE505`.
+pub fn store_region(kp: &KernelProgram, v: ValueId) -> Vec<AxisWrite> {
+    Lowering::of(kp).store_region(v)
 }
 
 /// Symbolic write footprint of one partition's partial-state slot under
@@ -200,212 +398,33 @@ pub fn store_region(kp: &KernelProgram, v: ValueId) -> Vec<AxisWrite> {
 /// without temporal slicing has no partial states; the footprint
 /// degrades to [`AxisWrite::Opaque`].
 pub fn partial_region(kp: &KernelProgram, v: ValueId) -> Vec<AxisWrite> {
-    let s = &kp.schedule;
-    let Some(t) = &s.temporal else {
-        return vec![AxisWrite::Opaque];
-    };
-    let dim = t.plan.dim;
-    let extent = if dim.0 < s.smg.dims.len() {
-        s.smg.extent(dim)
-    } else {
-        return vec![AxisWrite::Opaque];
-    };
-    let n_tiles = extent.div_ceil(t.block.max(1));
-    let per = n_tiles.div_ceil(t.partitions());
-    let stride = per * t.block;
-    let mut region = vec![AxisWrite::Tiled {
-        dim,
-        block: stride,
-        span: stride,
-        clamp: extent,
-        extent,
-    }];
-    region.extend(store_region(kp, v));
-    region
-}
-
-/// Memory space an operand of `kp` is read from.
-fn read_space(kp: &KernelProgram, v: ValueId) -> MemSpace {
-    match kp.graph.value(v).kind {
-        ValueKind::Input | ValueKind::Weight => {
-            if kp.schedule.is_staged(v) {
-                MemSpace::Shared
-            } else {
-                MemSpace::Global
-            }
-        }
-        ValueKind::Intermediate => match kp.schedule.level(v) {
-            MemLevel::Shared => MemSpace::Shared,
-            // Global-level intermediates (kernel outputs) stream back
-            // through registers; reads of them inside the kernel see the
-            // register copy.
-            MemLevel::Register | MemLevel::Global => MemSpace::Register,
-        },
-    }
-}
-
-/// Memory space an op output of `kp` is written to.
-fn write_space(kp: &KernelProgram, v: ValueId) -> MemSpace {
-    match kp.schedule.level(v) {
-        MemLevel::Shared => MemSpace::Shared,
-        MemLevel::Register | MemLevel::Global => MemSpace::Register,
-    }
-}
-
-/// Appends op `oi` as a [`Instr::Compute`], with a trailing barrier when
-/// the result is published to shared memory.
-fn push_compute(kp: &KernelProgram, out: &mut Vec<Instr>, oi: usize) {
-    let op = &kp.graph.ops()[oi];
-    let mut reads: Vec<(ValueId, MemSpace)> =
-        op.inputs.iter().map(|&i| (i, read_space(kp, i))).collect();
-    // A UTA update additionally reads the accumulators of the earlier
-    // sliced reductions it rescales by (paper Fig. 7, right).
-    if let OpRole::SlicedReduction(idx) = kp.roles[oi] {
-        if let Some(t) = &kp.schedule.temporal {
-            if let Some(AggKind::Uta(factors)) = t.plan.sliced.get(idx).map(|s| &s.agg) {
-                for f in factors {
-                    if f.dep.0 < kp.graph.ops().len() {
-                        reads.push((kp.graph.ops()[f.dep.0].output, MemSpace::Register));
-                    }
-                }
-            }
-        }
-    }
-    let w = write_space(kp, op.output);
-    out.push(Instr::Compute {
-        op: OpId(oi),
-        reads,
-        write: (op.output, w),
-    });
-    if w == MemSpace::Shared {
-        out.push(Instr::Barrier);
-    }
+    Lowering::of(kp).partial_region(v)
 }
 
 /// Lowers a kernel into its linear instruction stream.
 ///
-/// The structure matches [`emit_pseudocode`](super::emit_pseudocode) and
-/// the interpreter in [`exec`](super::exec): staged whole-block loads,
-/// then either the flat op sequence or the phase-1 intra-block loop,
-/// post-loop epilogue, optional phase-2 re-streaming loop, and stores.
+/// This is the verifier's input, and the verifier must also judge
+/// kernels whose public `graph` / `schedule` fields were edited after
+/// construction (the mutation harness does exactly that), so the stream
+/// is lowered from a plan rebuilt from the current fields rather than
+/// from [`KernelProgram::plan`]. Both come from the one
+/// [`KernelPlan::build`], so for an unedited kernel this is the plan the
+/// executor walks.
 pub fn lower_instructions(kp: &KernelProgram) -> Vec<Instr> {
-    let g = &kp.graph;
-    let s = &kp.schedule;
-    let mut out = Vec::new();
-
-    let varying = |vi: usize| {
-        s.temporal
-            .as_ref()
-            .map(|t| s.smg.value_has_dim(g, ValueId(vi), t.plan.dim))
-            .unwrap_or(false)
-    };
-    let is_global = |vi: usize| matches!(g.values()[vi].kind, ValueKind::Input | ValueKind::Weight);
-
-    // Staged whole-block loads: cooperative, so consumers must wait on a
-    // barrier before reading any element another thread loaded.
-    let mut staged_any = false;
-    for vi in 0..g.values().len() {
-        if is_global(vi) && s.mem.staged[vi] && !varying(vi) {
-            out.push(Instr::LoadBlock { value: ValueId(vi) });
-            staged_any = true;
-        }
+    let plan = KernelPlan::build(&kp.graph, &kp.schedule, &kp.roles);
+    Lowering {
+        graph: &kp.graph,
+        s: &kp.schedule,
+        plan: &plan,
     }
-    if staged_any {
-        out.push(Instr::Barrier);
-    }
+    .lower()
+}
 
-    // Per-tile loads inside a loop body, with the same cooperative
-    // barrier rule.
-    let push_tile_loads = |out: &mut Vec<Instr>| {
-        let mut any = false;
-        for vi in 0..g.values().len() {
-            if is_global(vi) && s.mem.staged[vi] && varying(vi) {
-                out.push(Instr::LoadTile { value: ValueId(vi) });
-                any = true;
-            }
-        }
-        if any {
-            out.push(Instr::Barrier);
-        }
-    };
-
-    match &s.temporal {
-        None => {
-            for oi in 0..g.ops().len() {
-                push_compute(kp, &mut out, oi);
-            }
-            for &o in g.outputs() {
-                out.push(Instr::Store {
-                    value: o,
-                    region: store_region(kp, o),
-                });
-            }
-        }
-        Some(t) => {
-            out.push(Instr::LoopBegin { phase: 1 });
-            push_tile_loads(&mut out);
-            for oi in 0..g.ops().len() {
-                if kp.needed_phase1[oi] && kp.roles[oi] != OpRole::PostLoop {
-                    push_compute(kp, &mut out, oi);
-                }
-            }
-            out.push(Instr::LoopEnd { phase: 1 });
-
-            // Split-K: each partition parks its partial aggregate
-            // states (the phase-1 tail), then — after the pool drain —
-            // the combine phase folds them in fixed partition order.
-            if let Some(split) = &t.split {
-                for sl in &t.plan.sliced {
-                    out.push(Instr::StorePartial {
-                        value: g.ops()[sl.op.0].output,
-                        region: partial_region(kp, g.ops()[sl.op.0].output),
-                    });
-                }
-                for (sl, spec) in t.plan.sliced.iter().zip(&split.combine) {
-                    out.push(Instr::Combine {
-                        op: sl.op,
-                        partitions: split.partitions,
-                        combine: spec.op,
-                        rescaled: spec.rescale,
-                    });
-                }
-            }
-
-            for oi in 0..g.ops().len() {
-                if kp.roles[oi] == OpRole::PostLoop {
-                    push_compute(kp, &mut out, oi);
-                }
-            }
-
-            if t.plan.two_phase {
-                out.push(Instr::LoopBegin { phase: 2 });
-                push_tile_loads(&mut out);
-                for oi in 0..g.ops().len() {
-                    if kp.roles[oi] == OpRole::InLoop && kp.needed_output[oi] {
-                        push_compute(kp, &mut out, oi);
-                    }
-                }
-                for &o in g.outputs() {
-                    if s.smg.value_has_dim(g, o, t.plan.dim) {
-                        out.push(Instr::Store {
-                            value: o,
-                            region: store_region(kp, o),
-                        });
-                    }
-                }
-                out.push(Instr::LoopEnd { phase: 2 });
-            }
-            for &o in g.outputs() {
-                if !s.smg.value_has_dim(g, o, t.plan.dim) {
-                    out.push(Instr::Store {
-                        value: o,
-                        region: store_region(kp, o),
-                    });
-                }
-            }
-        }
-    }
-    out
+/// The store instructions of the kernel as constructed — all the
+/// disjoint-write proof at construction needs, without lowering the
+/// whole stream per tuner candidate.
+pub(crate) fn lower_stores(kp: &KernelProgram) -> Vec<Instr> {
+    Lowering::of(kp).lower_stores()
 }
 
 #[cfg(test)]

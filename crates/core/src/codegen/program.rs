@@ -1,8 +1,9 @@
 //! The lowered kernel representation.
 
+use super::plan::KernelPlan;
 use crate::sched::{op_roles, FusedSchedule, OpRole};
 use crate::verify::races::{prove_disjoint, DisjointProof};
-use sf_ir::{Graph, ValueId};
+use sf_ir::Graph;
 
 /// A fused kernel: graph + schedule + derived execution metadata.
 #[derive(Debug, Clone)]
@@ -17,40 +18,46 @@ pub struct KernelProgram {
     pub schedule: FusedSchedule,
     /// Role of each operator under the schedule.
     pub roles: Vec<OpRole>,
-    /// Ops transitively needed by the sliced reductions (phase-1 work).
-    pub needed_phase1: Vec<bool>,
-    /// Ops transitively needed by the kernel outputs.
-    pub needed_output: Vec<bool>,
     /// Verdict of the static disjoint-write prover
     /// ([`crate::verify::races`]): only `Proven` kernels may take the
     /// lock-free parallel executor path. Computed at construction so the
     /// gate holds even when the verifier pass is off (release builds).
     pub disjoint: DisjointProof,
+    /// The lowered loop structure, built once here. Private so it
+    /// cannot drift from the fields it was derived from through this
+    /// type's API; see [`KernelProgram::plan`].
+    plan: KernelPlan,
 }
 
 impl KernelProgram {
     /// Lowers a scheduled graph into a kernel program.
     pub fn new(name: impl Into<String>, graph: Graph, schedule: FusedSchedule) -> Self {
         let roles = op_roles(&graph, &schedule);
-        let reduction_outputs: Vec<ValueId> = roles
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| matches!(r, OpRole::SlicedReduction(_)))
-            .map(|(i, _)| graph.ops()[i].output)
-            .collect();
-        let needed_phase1 = needed_by(&graph, &reduction_outputs);
-        let needed_output = needed_by(&graph, graph.outputs());
+        let plan = KernelPlan::build(&graph, &schedule, &roles);
         let mut kp = KernelProgram {
             name: name.into(),
             graph,
             schedule,
             roles,
-            needed_phase1,
-            needed_output,
             disjoint: DisjointProof::Proven,
+            plan,
         };
         kp.disjoint = prove_disjoint(&kp);
         kp
+    }
+
+    /// The kernel's loop structure as built at construction — what the
+    /// executor, the tracer, the cost model and the emitter walk.
+    ///
+    /// `graph`, `schedule` and `roles` are public and the verifier's
+    /// mutation harness edits them after construction; the plan does
+    /// not follow such edits, so [`lower_instructions`]
+    /// (the verifier's input) re-plans from the current fields instead
+    /// of reading this one.
+    ///
+    /// [`lower_instructions`]: super::lower_instructions
+    pub fn plan(&self) -> &KernelPlan {
+        &self.plan
     }
 
     /// Whether this kernel fuses more than one operator.
@@ -59,27 +66,10 @@ impl KernelProgram {
     }
 }
 
-/// Ops transitively needed to compute the given values.
-fn needed_by(graph: &Graph, targets: &[ValueId]) -> Vec<bool> {
-    let mut needed_vals = vec![false; graph.values().len()];
-    for &t in targets {
-        needed_vals[t.0] = true;
-    }
-    let mut needed_ops = vec![false; graph.ops().len()];
-    for (oi, op) in graph.ops().iter().enumerate().rev() {
-        if needed_vals[op.output.0] {
-            needed_ops[oi] = true;
-            for &i in &op.inputs {
-                needed_vals[i.0] = true;
-            }
-        }
-    }
-    needed_ops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codegen::plan::Step;
     use crate::sched::{assign_memory, TemporalSchedule};
     use crate::slicer::plan_temporal;
     use crate::smg::build_smg;
@@ -117,10 +107,23 @@ mod tests {
                 mem,
             },
         );
+        let plan = kp.plan();
+        let tiles = plan.tiles.as_ref().expect("temporally sliced");
         // Phase 1 needs max, sub, exp, sum but not div.
-        assert_eq!(kp.needed_phase1, vec![true, true, true, true, false]);
-        // Output needs everything.
-        assert!(kp.needed_output.iter().all(|&b| b));
+        assert_eq!(
+            tiles.phase1,
+            vec![
+                Step::Reduce { op: 0, idx: 0 },
+                Step::Op(1),
+                Step::Op(2),
+                Step::Reduce { op: 3, idx: 1 },
+            ]
+        );
+        // The output needs every in-loop op again in the second pass.
+        let phase2 = tiles.phase2.as_ref().expect("softmax is two-phase");
+        assert_eq!(phase2.ops, vec![1, 2, 4]);
+        assert_eq!(phase2.tile_stores, vec![d]);
+        assert!(plan.block_ops.is_empty() && plan.block_stores.is_empty());
         assert!(kp.is_fused());
     }
 }

@@ -1,95 +1,31 @@
 //! Access-stream tracing and analytic cost estimation.
 //!
 //! [`trace_kernel`] replays the global-memory accesses a kernel performs
-//! — following exactly the loop structure of the numeric interpreter —
-//! into the `sf-gpu-sim` [`Profiler`], yielding L1/L2 miss counts and
-//! DRAM traffic. [`estimate_cost`] computes the same quantities in closed
-//! form (without cache simulation); the auto-tuner uses it to rank
-//! configurations cheaply (paper §6.5: configurations are measured, with
-//! an early-quit cutoff).
+//! — walking the same [`KernelPlan`](super::plan::KernelPlan) as the
+//! numeric interpreter — into the `sf-gpu-sim` [`Profiler`], yielding
+//! L1/L2 miss counts and DRAM traffic. [`estimate_cost`] computes the
+//! same quantities in closed form (without cache simulation); the
+//! auto-tuner uses it to rank configurations cheaply (paper §6.5:
+//! configurations are measured, with an early-quit cutoff).
 
+use super::plan::{blocks, Restrict};
 use super::program::KernelProgram;
-use crate::sched::{MemLevel, OpRole};
-use crate::smg::{DimId, Smg};
+use crate::smg::DimId;
 use sf_gpu_sim::{BufId, KernelCost, Profiler};
-use sf_ir::{Graph, ValueId, ValueKind};
+use sf_ir::ValueId;
 use std::collections::HashMap;
-
-/// Dimension restrictions: `dim -> [start, end)`.
-type Restrict = Vec<(DimId, (usize, usize))>;
 
 /// Flop-equivalent cost of one intra-block loop iteration (loop control,
 /// barrier synchronization, pipeline drain). Gives the tuner a realistic
 /// preference for larger temporal tiles instead of tying on traffic.
 pub const TILE_OVERHEAD_FLOPS: u64 = 4096;
 
-/// Per-value usage classification for one kernel.
-struct Usage {
-    /// Used by phase-1 (reduction-feeding) ops.
-    p1: Vec<bool>,
-    /// Used by phase-2 (output-producing in-loop) ops.
-    p2: Vec<bool>,
-    /// The value's tile changes per intra-block (it spans the temporal
-    /// dimension).
-    varying: Vec<bool>,
-}
-
-fn classify(kp: &KernelProgram) -> Usage {
-    let graph = &kp.graph;
-    let n = graph.values().len();
-    let mut p1 = vec![false; n];
-    let mut p2 = vec![false; n];
-    for (oi, op) in graph.ops().iter().enumerate() {
-        if kp.needed_phase1[oi] && kp.roles[oi] != OpRole::PostLoop {
-            for &i in &op.inputs {
-                p1[i.0] = true;
-            }
-        }
-        if kp.roles[oi] == OpRole::InLoop && kp.needed_output[oi] {
-            for &i in &op.inputs {
-                p2[i.0] = true;
-            }
-        }
-        if kp.roles[oi] == OpRole::PostLoop {
-            for &i in &op.inputs {
-                // Post-loop reads of globals happen once per block; fold
-                // them into the phase-2 class (cheap either way).
-                p2[i.0] = true;
-            }
-        }
-    }
-    let varying = match &kp.schedule.temporal {
-        Some(t) => (0..n)
-            .map(|vi| {
-                kp.schedule
-                    .smg
-                    .value_has_dim(graph, ValueId(vi), t.plan.dim)
-            })
-            .collect(),
-        None => vec![false; n],
-    };
-    Usage { p1, p2, varying }
-}
-
 /// Bytes and 2-D layout of a restricted view of `v`.
-fn tile_spec(graph: &Graph, smg: &Smg, v: ValueId, restrict: &Restrict) -> (u64, u64, u64, u64) {
+fn tile_spec(kp: &KernelProgram, v: ValueId, restrict: &Restrict) -> (u64, u64, u64, u64) {
     // Returns (offset, row_bytes, rows, row_stride).
-    let shape = graph.shape(v);
-    let esz = graph.dtype().size_bytes() as u64;
-    let ranges: Vec<(usize, usize)> = shape
-        .dims()
-        .iter()
-        .enumerate()
-        .map(|(axis, &e)| {
-            let d = smg.value_axes[v.0][axis];
-            if e == smg.extent(d) {
-                if let Some(&(_, (s, t))) = restrict.iter().find(|&&(rd, _)| rd == d) {
-                    return (s.min(e), t.min(e));
-                }
-            }
-            (0, e)
-        })
-        .collect();
+    let shape = kp.graph.shape(v);
+    let esz = kp.graph.dtype().size_bytes() as u64;
+    let ranges = kp.plan().ranges(&kp.graph, v, restrict);
     match ranges.len() {
         2 => {
             let cols_full = shape.dims()[1] as u64;
@@ -124,198 +60,132 @@ pub fn trace_kernel(
 ) {
     let graph = &kp.graph;
     let s = &kp.schedule;
-    let usage = classify(kp);
     let smem = s.smem_per_block(graph);
     let regs = s.regs_per_block(graph);
     let grid_total = s.grid() * total_instances;
     profiler.begin_kernel(&kp.name, grid_total, smem, regs);
 
-    let global_vals: Vec<ValueId> = (0..graph.values().len())
-        .map(ValueId)
-        .filter(|&v| {
-            matches!(graph.value(v).kind, ValueKind::Input | ValueKind::Weight)
-                || (s.level(v) == MemLevel::Global)
-        })
-        .collect();
-    let inst_stride: HashMap<ValueId, u64> = global_vals
-        .iter()
-        .map(|&v| {
-            (
-                v,
-                (graph.shape(v).volume() * graph.dtype().size_bytes()) as u64,
-            )
-        })
-        .collect();
-
-    // Spatial block iteration.
-    let block_counts: Vec<usize> = s
-        .spatial
-        .iter()
-        .map(|&(d, b)| s.smg.extent(d).div_ceil(b))
-        .collect();
-
+    let mut tracer = Tracer {
+        kp,
+        profiler,
+        bufs,
+        inst: 0,
+    };
     for inst in 0..replay_instances as u64 {
-        let mut block_idx = vec![0usize; s.spatial.len()];
-        loop {
-            let spatial: Restrict = s
-                .spatial
-                .iter()
-                .zip(&block_idx)
-                .map(|(&(d, b), &i)| {
-                    let start = i * b;
-                    (d, (start, (start + b).min(s.smg.extent(d))))
-                })
-                .collect();
-            profiler.begin_block();
-            trace_block(kp, profiler, bufs, &inst_stride, &usage, inst, &spatial);
-
-            let mut carry = true;
-            for (i, c) in block_idx.iter_mut().zip(&block_counts) {
-                if carry {
-                    *i += 1;
-                    if *i == *c {
-                        *i = 0;
-                    } else {
-                        carry = false;
-                    }
-                }
-            }
-            if carry {
-                break;
-            }
+        tracer.inst = inst;
+        for spatial in blocks(s) {
+            tracer.profiler.begin_block();
+            tracer.block(&spatial);
         }
     }
-    profiler.end_kernel();
+    tracer.profiler.end_kernel();
 }
 
-#[allow(clippy::too_many_arguments)]
-fn load_value(
-    kp: &KernelProgram,
-    profiler: &mut Profiler,
-    bufs: &HashMap<String, BufId>,
-    strides: &HashMap<ValueId, u64>,
+/// The replay of one kernel instance.
+struct Tracer<'a> {
+    kp: &'a KernelProgram,
+    profiler: &'a mut Profiler,
+    bufs: &'a HashMap<String, BufId>,
     inst: u64,
-    v: ValueId,
-    restrict: &Restrict,
-    write: bool,
-) {
-    let graph = &kp.graph;
-    let name = &graph.value(v).name;
-    let Some(&buf) = bufs.get(name) else { return };
-    let (off, row_bytes, rows, stride) = tile_spec(graph, &kp.schedule.smg, v, restrict);
-    let base = inst * strides.get(&v).copied().unwrap_or(0);
-    if write {
-        profiler.store_tile(buf, base + off, row_bytes, rows, stride);
-    } else {
-        profiler.load_tile(buf, base + off, row_bytes, rows, stride);
-    }
 }
 
-fn trace_block(
-    kp: &KernelProgram,
-    profiler: &mut Profiler,
-    bufs: &HashMap<String, BufId>,
-    strides: &HashMap<ValueId, u64>,
-    usage: &Usage,
-    inst: u64,
-    spatial: &Restrict,
-) {
-    let graph = &kp.graph;
-    let s = &kp.schedule;
-    let is_global =
-        |v: ValueId| matches!(graph.value(v).kind, ValueKind::Input | ValueKind::Weight);
-
-    // Non-varying globals load once per block (they stay in shared memory
-    // when staged, or in the block-lifetime L1 when streamed).
-    for vi in 0..graph.values().len() {
-        let v = ValueId(vi);
-        if is_global(v) && !usage.varying[vi] && (usage.p1[vi] || usage.p2[vi]) {
-            load_value(kp, profiler, bufs, strides, inst, v, spatial, false);
+impl Tracer<'_> {
+    /// One tile access of a global value (kernel input or output) of
+    /// this instance.
+    fn access(&mut self, v: ValueId, restrict: &Restrict, write: bool) {
+        let graph = &self.kp.graph;
+        let Some(&buf) = self.bufs.get(&graph.value(v).name) else {
+            return;
+        };
+        let (off, row_bytes, rows, stride) = tile_spec(self.kp, v, restrict);
+        let base = self.inst * (graph.shape(v).volume() * graph.dtype().size_bytes()) as u64;
+        if write {
+            self.profiler
+                .store_tile(buf, base + off, row_bytes, rows, stride);
+        } else {
+            self.profiler
+                .load_tile(buf, base + off, row_bytes, rows, stride);
         }
     }
 
-    match &s.temporal {
-        None => {
-            // All ops once; flops over the block tile.
-            for (oi, _) in graph.ops().iter().enumerate() {
-                profiler.flops(restricted_flops(kp, oi, spatial));
-            }
-            for &o in graph.outputs() {
-                load_value(kp, profiler, bufs, strides, inst, o, spatial, true);
-            }
-        }
-        Some(t) => {
-            let dim = t.plan.dim;
-            let extent = s.smg.extent(dim);
-            let n_tiles = extent.div_ceil(t.block);
+    /// Flops of one op over actual (edge-clamped) restricted ranges.
+    fn flops(&mut self, op_idx: usize, restrict: &Restrict) {
+        let sizes: Vec<(DimId, usize)> = restrict.iter().map(|&(d, (s, t))| (d, t - s)).collect();
+        self.profiler.flops(crate::sched::memory::tile_flops(
+            &self.kp.graph,
+            &self.kp.schedule.smg,
+            op_idx,
+            &sizes,
+        ));
+    }
 
+    /// One spatial block: the plan's sections in order.
+    fn block(&mut self, spatial: &Restrict) {
+        let plan = self.kp.plan();
+
+        // Non-varying globals load once per block (they stay in shared memory
+        // when staged, or in the block-lifetime L1 when streamed).
+        for g in plan.globals.iter().filter(|g| !g.varying && g.used()) {
+            self.access(g.value, spatial, false);
+        }
+
+        if let Some(tiles) = &plan.tiles {
             // Phase 1.
-            for tile in 0..n_tiles {
-                profiler.flops(TILE_OVERHEAD_FLOPS);
-                let start = tile * t.block;
-                let mut restrict = spatial.clone();
-                restrict.push((dim, (start, (start + t.block).min(extent))));
-                for vi in 0..graph.values().len() {
-                    let v = ValueId(vi);
-                    if is_global(v) && usage.varying[vi] && usage.p1[vi] {
-                        load_value(kp, profiler, bufs, strides, inst, v, &restrict, false);
-                    }
+            for tile in 0..tiles.n_tiles() {
+                self.profiler.flops(TILE_OVERHEAD_FLOPS);
+                let restrict = tiles.tile_restrict(spatial, tile);
+                for g in plan.globals.iter().filter(|g| g.varying && g.used_p1) {
+                    self.access(g.value, &restrict, false);
                 }
-                for (oi, _) in graph.ops().iter().enumerate() {
-                    if kp.needed_phase1[oi] && kp.roles[oi] != OpRole::PostLoop {
-                        profiler.flops(restricted_flops(kp, oi, &restrict));
-                    }
+                for step in &tiles.phase1 {
+                    self.flops(step.op(), &restrict);
                 }
             }
+        }
 
-            // Post-loop ops.
-            for (oi, _) in graph.ops().iter().enumerate() {
-                if kp.roles[oi] == OpRole::PostLoop {
-                    profiler.flops(restricted_flops(kp, oi, spatial));
-                }
-            }
+        // Block-level ops: flops over the block tile.
+        for &oi in &plan.block_ops {
+            self.flops(oi, spatial);
+        }
 
-            // Phase 2.
-            if t.plan.two_phase {
-                for tile in 0..n_tiles {
-                    profiler.flops(TILE_OVERHEAD_FLOPS);
-                    let start = tile * t.block;
-                    let mut restrict = spatial.clone();
-                    restrict.push((dim, (start, (start + t.block).min(extent))));
-                    for vi in 0..graph.values().len() {
-                        let v = ValueId(vi);
-                        if is_global(v) && usage.varying[vi] && usage.p2[vi] {
-                            load_value(kp, profiler, bufs, strides, inst, v, &restrict, false);
-                        }
-                    }
-                    for (oi, _) in graph.ops().iter().enumerate() {
-                        if kp.roles[oi] == OpRole::InLoop && kp.needed_output[oi] {
-                            profiler.flops(restricted_flops(kp, oi, &restrict));
-                        }
-                    }
-                    // Outputs spanning the sliced dim store per tile.
-                    for &o in graph.outputs() {
-                        if s.smg.value_has_dim(graph, o, dim) {
-                            load_value(kp, profiler, bufs, strides, inst, o, &restrict, true);
-                        }
-                    }
+        if let Some((tiles, p2)) = plan.phase2() {
+            for tile in 0..tiles.n_tiles() {
+                self.profiler.flops(TILE_OVERHEAD_FLOPS);
+                let restrict = tiles.tile_restrict(spatial, tile);
+                for g in plan.globals.iter().filter(|g| g.varying && g.used_p2) {
+                    self.access(g.value, &restrict, false);
+                }
+                for &oi in &p2.ops {
+                    self.flops(oi, &restrict);
+                }
+                for &o in &p2.tile_stores {
+                    self.access(o, &restrict, true);
                 }
             }
+        }
 
-            // Remaining outputs store once per block.
-            for &o in graph.outputs() {
-                if !s.smg.value_has_dim(graph, o, dim) {
-                    load_value(kp, profiler, bufs, strides, inst, o, spatial, true);
-                }
-            }
+        for &o in &plan.block_stores {
+            self.access(o, spatial, true);
         }
     }
 }
 
-/// Flops of one op over actual (edge-clamped) restricted ranges.
-fn restricted_flops(kp: &KernelProgram, op_idx: usize, restrict: &Restrict) -> u64 {
-    let sizes: Vec<(DimId, usize)> = restrict.iter().map(|&(d, (s, t))| (d, t - s)).collect();
-    crate::sched::memory::tile_flops(&kp.graph, &kp.schedule.smg, op_idx, &sizes)
+/// Split-K partition count and per-block bytes of partial aggregate
+/// state (one accumulator per sliced reduction), for split schedules.
+fn split_state(kp: &KernelProgram) -> Option<(u64, u64)> {
+    let tiles = kp.plan().tiles.as_ref()?;
+    let state_per_block = tiles
+        .split
+        .as_ref()?
+        .parks
+        .iter()
+        .map(|&out| {
+            kp.schedule
+                .smg
+                .block_footprint(&kp.graph, out, &kp.schedule.spatial)
+        })
+        .sum();
+    (tiles.partitions > 1).then_some((tiles.partitions as u64, state_per_block))
 }
 
 /// Closed-form cost estimate of one kernel (for the auto-tuner).
@@ -328,51 +198,38 @@ fn restricted_flops(kp: &KernelProgram, op_idx: usize, restrict: &Restrict) -> u
 pub fn estimate_cost(kp: &KernelProgram, total_instances: u64) -> KernelCost {
     let graph = &kp.graph;
     let s = &kp.schedule;
-    let usage = classify(kp);
+    let plan = kp.plan();
     let esz = graph.dtype().size_bytes() as u64;
     let grid = s.grid();
     let n_tiles = s.intra_blocks();
-    let two_phase = s
-        .temporal
-        .as_ref()
-        .map(|t| t.plan.two_phase)
-        .unwrap_or(false);
+    let two_phase = plan.phase2().is_some();
 
     let block_restrict = s.block_restrictions();
-    let spatial_restrict: Vec<(DimId, usize)> = s.spatial.clone();
+    let spatial_restrict: &[(DimId, usize)] = &s.spatial;
 
     let mut read_per_block = 0u64;
     let mut compulsory = 0u64;
-    for (vi, v) in graph.values().iter().enumerate() {
-        if !matches!(v.kind, ValueKind::Input | ValueKind::Weight) {
-            continue;
-        }
-        let id = ValueId(vi);
-        if !(usage.p1[vi] || usage.p2[vi]) {
-            continue;
-        }
-        compulsory += (v.shape.volume() as u64) * esz;
-        if usage.varying[vi] {
-            let tile = s.smg.block_footprint(graph, id, &block_restrict);
-            let phases = 1 + u64::from(two_phase && usage.p2[vi] && usage.p1[vi]);
+    for g in plan.globals.iter().filter(|g| g.used()) {
+        compulsory += (graph.shape(g.value).volume() as u64) * esz;
+        if g.varying {
+            let tile = s.smg.block_footprint(graph, g.value, &block_restrict);
+            let phases = 1 + u64::from(two_phase && g.used_p2 && g.used_p1);
             read_per_block += tile * n_tiles * phases;
         } else {
-            read_per_block += s.smg.block_footprint(graph, id, &spatial_restrict);
+            read_per_block += s.smg.block_footprint(graph, g.value, spatial_restrict);
         }
     }
 
     let mut write_per_block = 0u64;
     for &o in graph.outputs() {
-        write_per_block += s.smg.block_footprint(graph, o, &spatial_restrict);
+        write_per_block += s.smg.block_footprint(graph, o, spatial_restrict);
     }
 
-    let mut flops = 0u64;
-    for (oi, _) in graph.ops().iter().enumerate() {
-        let f = crate::sched::memory::tile_flops(graph, &s.smg, oi, &[]);
-        flops += f;
-        if two_phase && kp.roles[oi] == OpRole::InLoop && kp.needed_output[oi] {
-            flops += f; // recomputed in phase 2.
-        }
+    let op_flops = |oi: usize| crate::sched::memory::tile_flops(graph, &s.smg, oi, &[]);
+    let mut flops: u64 = (0..graph.ops().len()).map(op_flops).sum();
+    if let Some((_, p2)) = plan.phase2() {
+        // Recomputed in phase 2.
+        flops += p2.ops.iter().map(|&oi| op_flops(oi)).sum::<u64>();
     }
     if s.temporal.is_some() {
         let phases = 1 + u64::from(two_phase);
@@ -387,22 +244,16 @@ pub fn estimate_cost(kp: &KernelProgram, total_instances: u64) -> KernelCost {
     // saturates the machine the utilization term gains nothing and the
     // combine overhead makes split-K lose — exactly the tradeoff the
     // tuner should arbitrate.
-    let partitions = s.temporal.as_ref().map_or(1, |t| t.partitions()) as u64;
+    let mut partitions = 1;
     let mut l2_per_block = read_per_block + write_per_block;
-    if partitions > 1 {
-        if let Some(t) = &s.temporal {
-            let mut state_per_block = 0u64;
-            for sl in &t.plan.sliced {
-                let out = graph.ops()[sl.op.0].output;
-                state_per_block += s.smg.block_footprint(graph, out, &spatial_restrict);
-            }
-            // P partial writes + P combine reads + 1 combined write.
-            l2_per_block += state_per_block * (2 * partitions + 1);
-            // Rescale-and-merge arithmetic over every partial element,
-            // plus per-partition loop entry overhead.
-            flops += (state_per_block / esz.max(1)) * partitions * 8 * grid;
-            flops += TILE_OVERHEAD_FLOPS * partitions * grid;
-        }
+    if let Some((p, state_per_block)) = split_state(kp) {
+        partitions = p;
+        // P partial writes + P combine reads + 1 combined write.
+        l2_per_block += state_per_block * (2 * partitions + 1);
+        // Rescale-and-merge arithmetic over every partial element,
+        // plus per-partition loop entry overhead.
+        flops += (state_per_block / esz.max(1)) * partitions * 8 * grid;
+        flops += TILE_OVERHEAD_FLOPS * partitions * grid;
     }
 
     KernelCost {
@@ -431,30 +282,18 @@ pub fn estimate_cost(kp: &KernelProgram, total_instances: u64) -> KernelCost {
 /// [`estimate_cost`]'s total, so it is safe to early-quit on.
 pub fn estimate_accumulate_cost(kp: &KernelProgram, total_instances: u64) -> KernelCost {
     let mut cost = estimate_cost(kp, total_instances);
-    let graph = &kp.graph;
-    let s = &kp.schedule;
-    let partitions = s.temporal.as_ref().map_or(1, |t| t.partitions()) as u64;
-    if partitions > 1 {
-        if let Some(t) = &s.temporal {
-            let esz = graph.dtype().size_bytes() as u64;
-            let grid = s.grid();
-            let spatial_restrict: Vec<(DimId, usize)> = s.spatial.clone();
-            let mut state_per_block = 0u64;
-            for sl in &t.plan.sliced {
-                let out = graph.ops()[sl.op.0].output;
-                state_per_block += s.smg.block_footprint(graph, out, &spatial_restrict);
-            }
-            let scale = grid * total_instances;
-            // Combine dispatch's share of the split overhead added by
-            // estimate_cost: P partial reads + 1 combined write, and
-            // the rescale-and-merge flops.
-            cost.l2_bytes = cost
-                .l2_bytes
-                .saturating_sub(state_per_block * (partitions + 1) * scale);
-            cost.flops = cost
-                .flops
-                .saturating_sub((state_per_block / esz.max(1)) * partitions * 8 * scale);
-        }
+    if let Some((partitions, state_per_block)) = split_state(kp) {
+        let esz = kp.graph.dtype().size_bytes() as u64;
+        let scale = kp.schedule.grid() * total_instances;
+        // Combine dispatch's share of the split overhead added by
+        // estimate_cost: P partial reads + 1 combined write, and
+        // the rescale-and-merge flops.
+        cost.l2_bytes = cost
+            .l2_bytes
+            .saturating_sub(state_per_block * (partitions + 1) * scale);
+        cost.flops = cost
+            .flops
+            .saturating_sub((state_per_block / esz.max(1)) * partitions * 8 * scale);
     }
     cost
 }

@@ -49,16 +49,7 @@ impl Compiler {
 
     /// Creates a compiler with default options under a fusion policy.
     pub fn with_policy(arch: Arch, policy: FusionPolicy) -> Self {
-        let mut opts = CompileOptions {
-            policy,
-            ..Default::default()
-        };
-        if policy == FusionPolicy::TileGraph {
-            // Welder-style tile graphs align tile shapes but cannot
-            // rewrite reductions: UTA stays off.
-            opts.slicing.enable_uta = false;
-        }
-        Compiler::new(arch, opts)
+        Compiler::new(arch, CompileOptions::for_policy(policy))
     }
 
     /// Target configuration.

@@ -140,6 +140,23 @@ impl Default for CompileOptions {
     }
 }
 
+impl CompileOptions {
+    /// Default options under a fusion policy: the one place where a
+    /// policy's capability restrictions become option values.
+    pub fn for_policy(policy: FusionPolicy) -> Self {
+        let mut opts = CompileOptions {
+            policy,
+            ..Default::default()
+        };
+        if policy == FusionPolicy::TileGraph {
+            // Welder-style tile graphs align tile shapes but cannot
+            // rewrite reductions: UTA stays off.
+            opts.slicing.enable_uta = false;
+        }
+        opts
+    }
+}
+
 /// A compiled program: an ordered list of kernels over a shared tensor
 /// environment.
 #[derive(Debug, Clone)]

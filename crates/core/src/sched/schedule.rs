@@ -38,13 +38,6 @@ impl TemporalSchedule {
     pub fn partitions(&self) -> usize {
         self.split.as_ref().map_or(1, |s| s.partitions)
     }
-
-    /// Tile range `[lo, hi)` of partition `p` over `n_tiles` tiles.
-    /// Every partition of a normalized count is non-empty.
-    pub fn partition_tiles(&self, n_tiles: usize, p: usize) -> (usize, usize) {
-        let per = n_tiles.div_ceil(self.partitions());
-        (p * per, ((p + 1) * per).min(n_tiles))
-    }
 }
 
 /// Largest partition count `≤ want` for which every partition owns at

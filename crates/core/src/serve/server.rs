@@ -33,7 +33,7 @@ use super::protocol::{
 };
 use super::snapshot::{self, LoadReport};
 use crate::codegen::{ExecEngine, ExecOptions};
-use crate::pipeline::{Claim, CompileOptions, CompileSession, FusionPolicy, ScheduleCache};
+use crate::pipeline::{Claim, CompileOptions, CompileSession, ScheduleCache};
 use crate::resilience::FaultInjector;
 use sf_ir::dsl::parse_graph;
 use std::collections::{HashMap, VecDeque};
@@ -411,14 +411,10 @@ fn process(inner: &Arc<Inner>, work: &Work) -> Response {
     let (program, outcome) = match inner.programs.claim(&key) {
         Claim::Hit(p) => (p, CacheOutcome::Hit),
         Claim::Miss(ticket) => {
-            let mut opts = CompileOptions {
-                policy: req.policy,
+            let opts = CompileOptions {
                 schedule_budget_ms: req.deadline_ms,
-                ..CompileOptions::default()
+                ..CompileOptions::for_policy(req.policy)
             };
-            if req.policy == FusionPolicy::TileGraph {
-                opts.slicing.enable_uta = false;
-            }
             let mut session = CompileSession::with_config(arch, opts)
                 .with_cache(Arc::clone(&inner.cache))
                 .with_engine(Arc::clone(&inner.engine));

@@ -52,7 +52,8 @@
 //! verifier is off).
 
 use super::{DiagCode, Diagnostic, Span};
-use crate::codegen::{lower_instructions, AxisWrite, Instr, KernelProgram, MemSpace};
+use crate::codegen::instr::lower_stores;
+use crate::codegen::{AxisWrite, Instr, KernelProgram, MemSpace};
 use crate::smg::DimId;
 use sf_ir::ValueId;
 use std::collections::BTreeMap;
@@ -85,13 +86,17 @@ impl DisjointProof {
 
 /// Proves (or fails to prove) pairwise-disjoint block writes for `kp`.
 ///
-/// Runs the full RACE analysis over the lowered stream and condenses it
-/// into the executor-facing verdict. Unlike the verifier this runs
+/// Runs the RACE analysis over the stores of the kernel's plan — the
+/// one the executor walks — and condenses it into the executor-facing
+/// verdict. Stores suffice: a lowered stream never writes a compute
+/// result to global memory (RACE503) and never reads a value after
+/// storing it (RACE504); those codes exist for corrupted streams, which
+/// [`check_races`] sees in full. Instruction indices in the verdict's
+/// message therefore count stores only. Unlike the verifier this runs
 /// unconditionally — release builds with `verify: false` still refuse
 /// the lock-free path for unproven kernels.
 pub fn prove_disjoint(kp: &KernelProgram) -> DisjointProof {
-    let instrs = lower_instructions(kp);
-    match check_races(kp, &instrs).into_iter().next() {
+    match check_races(kp, &lower_stores(kp)).into_iter().next() {
         None => DisjointProof::Proven,
         Some(d) => DisjointProof::Unproven(format!("{}: {}", d.code, d.message)),
     }
@@ -375,6 +380,7 @@ fn check_store_footprint(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codegen::lower_instructions;
     use crate::compiler::{Compiler, FusionPolicy};
     use sf_gpu_sim::Arch;
     use sf_ir::Graph;

@@ -4,8 +4,9 @@
 use sf_gpu_sim::Arch;
 use sf_ir::Graph;
 use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
-use sf_tensor::{assert_tensors_close, DType, Shape, Tolerance};
-use spacefusion::compiler::{CompileOptions, Compiler, FusionPolicy};
+use sf_tensor::{assert_tensors_bitwise, assert_tensors_close, DType, Shape, Tolerance};
+use spacefusion::codegen::ExecOptions;
+use spacefusion::compiler::{CompileOptions, CompiledProgram, Compiler, FusionPolicy};
 
 /// The historical per-test absolute tolerances, upgraded to the shared
 /// comparator: the absolute value keeps its role as cancellation floor,
@@ -93,26 +94,114 @@ fn rmsnorm_graph(m: usize, n: usize) -> Graph {
     g
 }
 
+/// `x² → Σ` over a deep row: one long sliced reduction.
+fn deep_reduce_graph(m: usize, n: usize) -> Graph {
+    let mut g = Graph::new("deep_reduce", DType::F32);
+    let x = g.input("x", Shape::new(vec![m, n]));
+    let sq = g.unary(UnaryOp::Sqr, x).unwrap();
+    let z = g.reduce(ReduceOp::Sum, sq, 1).unwrap();
+    let y = g.scalar(BinaryOp::Mul, z, 0.5).unwrap();
+    g.mark_output(y);
+    g
+}
+
 /// Compiles under a policy and checks numerics against the reference.
 fn check(g: &Graph, policy: FusionPolicy, arch: Arch, seed: u64, tol: Tolerance) {
-    let compiler = Compiler::with_policy(arch, policy);
-    let program = compiler
+    check_opts(g, CompileOptions::for_policy(policy), arch, seed, tol);
+}
+
+/// Compiles under explicit options, checks the numerics against the
+/// unfused reference (`Graph::execute`, which shares nothing with the
+/// lowering) and that threads 1/2/8 agree bit for bit. Returns the
+/// program so callers can inspect the schedules that ran.
+fn check_opts(
+    g: &Graph,
+    opts: CompileOptions,
+    arch: Arch,
+    seed: u64,
+    tol: Tolerance,
+) -> CompiledProgram {
+    let what = format!("{} under {:?} {:?}", g.name(), opts.policy, opts.slicing);
+    let program = Compiler::new(arch, opts)
         .compile(g)
-        .unwrap_or_else(|e| panic!("compile failed for {} under {policy:?}: {e}", g.name()));
+        .unwrap_or_else(|e| panic!("compile failed for {what}: {e}"));
     let bindings = g.random_bindings(seed);
     let expect = g.execute(&bindings).unwrap();
-    let got = program
-        .execute(&bindings)
-        .unwrap_or_else(|e| panic!("execute failed for {} under {policy:?}: {e}", g.name()));
+    let run = |threads: usize| {
+        program
+            .execute_with(&bindings, &ExecOptions::with_threads(threads))
+            .unwrap_or_else(|e| panic!("execute failed for {what} at {threads} threads: {e}"))
+    };
+    let got = run(1);
     assert_eq!(got.len(), expect.len());
     for (i, (a, b)) in got.iter().zip(expect.iter()).enumerate() {
-        assert_tensors_close(
-            &format!("{} under {policy:?}, output {i}", g.name()),
-            a,
-            b,
-            tol,
-        );
+        assert_tensors_close(&format!("{what}, output {i}"), a, b, tol);
     }
+    for threads in [2, 8] {
+        for (i, (a, b)) in run(threads).iter().zip(&got).enumerate() {
+            assert_tensors_bitwise(&format!("{what}, output {i}, {threads} threads"), a, b);
+        }
+    }
+    program
+}
+
+/// Metamorphic companions of the differential oracle: the block sizes
+/// and the split factor are free parameters of a schedule, so every
+/// setting of them must compute the same function. Pinned blocks (the
+/// tile size, twice it, a non-divisor of the extent) with the tuner off
+/// take the most-sliced candidate, so the clamp tiles of both the
+/// spatial grid and the intra-block loop really run.
+#[test]
+fn block_sizes_and_split_factor_do_not_change_results() {
+    let shapes: [(Graph, &[usize], &[usize]); 5] = [
+        (softmax_graph(64, 256), &[16, 32, 24], &[32, 64, 48]),
+        (layernorm_graph(64, 256), &[16, 32, 24], &[32, 64, 48]),
+        (mha_graph(64, 256, 32), &[16, 32, 24], &[32, 64, 48]),
+        // Decode: one query row, the grid is a single block.
+        (mha_graph(1, 256, 32), &[1], &[32, 64, 48]),
+        (deep_reduce_graph(64, 4096), &[16, 32, 24], &[64, 128, 96]),
+    ];
+    let (mut spatial_clamps, mut temporal_clamps, mut splits) = (0, 0, 0);
+    for (seed, (g, spatial_blocks, temporal_blocks)) in shapes.into_iter().enumerate() {
+        let tol = sf_fuzz::derive_tolerance(&g);
+        let mut variants = Vec::new();
+        for &sb in spatial_blocks {
+            for &tb in temporal_blocks {
+                let mut opts = CompileOptions {
+                    autotune: false,
+                    ..Default::default()
+                };
+                opts.slicing.fixed_spatial_block = Some(sb);
+                opts.slicing.fixed_temporal_block = Some(tb);
+                variants.push(opts);
+            }
+        }
+        for enable_split in [true, false] {
+            let mut opts = CompileOptions::default();
+            opts.slicing.enable_split = enable_split;
+            variants.push(opts);
+        }
+        for opts in variants {
+            let split_allowed = opts.slicing.enable_split;
+            let program = check_opts(&g, opts, Arch::Ampere, 40 + seed as u64, tol);
+            for kp in &program.kernels {
+                let s = &kp.schedule;
+                let clamped = |&(d, b): &(_, usize)| s.smg.extent(d) % b != 0;
+                spatial_clamps += s.spatial.iter().filter(|sp| clamped(sp)).count();
+                if let Some(t) = &s.temporal {
+                    temporal_clamps += usize::from(clamped(&(t.plan.dim, t.block)));
+                    assert!(split_allowed || t.split.is_none(), "{}", kp.name);
+                    splits += usize::from(t.split.is_some());
+                }
+            }
+        }
+    }
+    assert!(spatial_clamps > 0, "no clamped spatial block was exercised");
+    assert!(
+        temporal_clamps > 0,
+        "no clamped temporal tile was exercised"
+    );
+    assert!(splits > 0, "no split-K schedule was exercised");
 }
 
 #[test]

@@ -203,17 +203,13 @@ pub fn run_oracle(graph: &Graph, opts: &OracleOptions) -> OracleReport {
     let tol = opts.tolerance.unwrap_or_else(|| derive_tolerance(graph));
 
     for policy in POLICIES {
-        let mut copts = CompileOptions {
-            policy,
+        let copts = CompileOptions {
             // The oracle runs the verifier itself so findings are
             // classified (and configurable) rather than folded into a
             // compile error.
             verify: false,
-            ..Default::default()
+            ..CompileOptions::for_policy(policy)
         };
-        if policy == FusionPolicy::TileGraph {
-            copts.slicing.enable_uta = false;
-        }
         let session = CompileSession::new(opts.arch, copts).with_engine(engine.clone());
         let program = match session.compile(graph) {
             Ok(p) => p,

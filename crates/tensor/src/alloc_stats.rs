@@ -12,8 +12,8 @@
 //! A second pair of counters tracks recycling-enabled pools only:
 //! [`pool_hits`] (a `take` served from recycled storage) and
 //! [`pool_misses`] (a `take` that had to allocate). Because the
-//! execution engine's worker pools now persist across
-//! `execute_kernel_with` calls, the hit ratio measures *cross-call*
+//! execution engine's worker pools persist across
+//! `ExecEngine::execute_kernel` calls, the hit ratio measures *cross-call*
 //! scratch reuse: after a warm-up execution, repeated executions should
 //! serve ≥90% of takes from recycled buffers.
 //!
