@@ -180,7 +180,7 @@ fn main() {
         })),
     };
     let threads = parallel_opts.effective_threads();
-    let iters_hint = if quick { 256 } else { 2_000 };
+    let iters_hint = if quick { 1_024 } else { 2_000 };
 
     println!("== Execution engine: serial vs {threads}-thread blocks ==");
     let serial = ExecOptions::with_threads(1);

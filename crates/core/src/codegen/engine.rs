@@ -12,7 +12,8 @@
 //! * one [`ScratchPool`] pinned to each worker thread (plus one for the
 //!   serial path), so intermediate buffers recycle *across*
 //!   `execute_kernel` calls — the cross-call reuse measured by
-//!   [`sf_tensor::alloc_stats::pool_reuse_ratio`];
+//!   [`sf_tensor::alloc_stats::pool_reuse_ratio`], into which every
+//!   arena's hit and miss counts are flushed once per kernel;
 //! * a serial cutoff ([`serial_cutoff`]) so kernels whose total work
 //!   cannot amortize a pool dispatch run inline on the caller's thread.
 //!
@@ -279,6 +280,9 @@ fn worker_loop(shared: &PoolShared) {
             let f = unsafe { &*task };
             f(&mut scratch);
         }));
+        // Once per job, not per take: the submitter reads the
+        // process-wide pool counters only after this job has drained.
+        scratch.flush_stats();
         let mut st = shared.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(job) = st.job.as_mut() {
             job.active -= 1;
@@ -411,10 +415,15 @@ impl ExecEngine {
     /// by a concurrent serial execution.
     pub(crate) fn with_serial_scratch<R>(&self, f: impl FnOnce(&mut ScratchPool) -> R) -> R {
         self.serial_runs.fetch_add(1, Ordering::Relaxed);
+        let run = |pool: &mut ScratchPool| {
+            let result = f(pool);
+            pool.flush_stats();
+            result
+        };
         match self.serial_scratch.try_lock() {
-            Ok(mut pool) => f(&mut pool),
-            Err(TryLockError::Poisoned(p)) => f(&mut p.into_inner()),
-            Err(TryLockError::WouldBlock) => f(&mut ScratchPool::new()),
+            Ok(mut pool) => run(&mut pool),
+            Err(TryLockError::Poisoned(p)) => run(&mut p.into_inner()),
+            Err(TryLockError::WouldBlock) => run(&mut ScratchPool::new()),
         }
     }
 }

@@ -25,15 +25,23 @@
 //! tiles through pre-partitioned [`sf_tensor::TensorViewMut`] regions
 //! of the shared output buffers ([`OutputSlot`]) without any mutex; a
 //! debug-build claim bitmap asserts that no two scatters ever touch
-//! the same element. Block-local values are borrowed as zero-copy
-//! [`TensorView`]s and intermediate buffers are recycled through the
-//! worker's pool — which persists across calls — so steady-state
-//! execution does not allocate. Kernels whose total work is under
+//! the same element. Kernels whose total work is under
 //! [`super::engine::serial_cutoff`] skip the pool and run inline on
 //! the caller's thread.
+//!
+//! The inner loop addresses everything by slot. A kernel launch
+//! ([`Launch`]) looks each global up in the environment ([`Env`]) and
+//! views it once; a worker keeps one `Option<Tensor>` slot per value of
+//! the kernel ([`Slots`], indexed by `ValueId`, the plan's
+//! [`Section`] saying how long a slot stays filled) and reuses them
+//! across tiles, partitions and blocks. Operands are zero-copy
+//! [`TensorView`]s of a slot or of a global narrowed by the plan's axis
+//! table, restrictions and ranges live inline, and intermediate buffers
+//! are recycled through the worker's pool — which persists across calls
+//! — so the per-tile loop performs no heap allocation and no hashing.
 
 use super::engine::{serial_cutoff, ExecEngine};
-use super::plan::{blocks, Restrict, Step, TileLoop};
+use super::plan::{blocks, Restrict, Section, Step, TileLoop};
 use super::program::KernelProgram;
 use crate::error::{Result, SfError};
 use crate::resilience::{panic_payload, FaultInjector, FaultKind};
@@ -41,7 +49,7 @@ use crate::slicer::{AggKind, FactorForm, SlicedReduction};
 use crate::smg::DimId;
 use sf_ir::{Graph, OpKind, ValueId};
 use sf_tensor::ops::{viewed, BinaryOp, ReduceOp, UnaryOp};
-use sf_tensor::{ScratchPool, Shape, Tensor, TensorView, TensorViewMut};
+use sf_tensor::{InlineVec, ScratchPool, Shape, Tensor, TensorView, TensorViewMut};
 use std::cell::UnsafeCell;
 use std::collections::HashMap;
 #[cfg(debug_assertions)]
@@ -79,6 +87,41 @@ impl ExecOptions {
     }
 }
 
+/// The tensor environment of one program execution: the caller's
+/// bindings, borrowed, overlaid by the values kernels have produced so
+/// far. Nothing the caller passed in is copied; a lookup sees a
+/// produced value before a binding of the same name.
+#[derive(Debug)]
+pub struct Env<'a> {
+    inputs: &'a HashMap<String, Tensor>,
+    produced: HashMap<String, Tensor>,
+}
+
+impl<'a> Env<'a> {
+    /// An environment over the caller's bindings with nothing produced.
+    pub fn new(inputs: &'a HashMap<String, Tensor>) -> Self {
+        Env {
+            inputs,
+            produced: HashMap::new(),
+        }
+    }
+
+    /// The tensor bound to `name`.
+    pub fn get(&self, name: &str) -> Option<&Tensor> {
+        self.produced.get(name).or_else(|| self.inputs.get(name))
+    }
+
+    /// Publishes a produced value.
+    pub fn insert(&mut self, name: String, tensor: Tensor) {
+        self.produced.insert(name, tensor);
+    }
+
+    /// Moves a produced value out of the environment.
+    pub fn take_produced(&mut self, name: &str) -> Option<Tensor> {
+        self.produced.remove(name)
+    }
+}
+
 /// A full output tensor shared lock-free across block workers.
 ///
 /// Table-3 spatial legality guarantees that distinct blocks (and
@@ -100,7 +143,7 @@ struct OutputSlot {
     cell: UnsafeCell<Tensor>,
     base: *mut f32,
     len: usize,
-    strides: Vec<usize>,
+    strides: InlineVec<usize>,
     #[cfg(debug_assertions)]
     claimed: Vec<AtomicU8>,
 }
@@ -144,12 +187,12 @@ impl OutputSlot {
         debug_assert_eq!(ranges.len(), self.strides.len());
         let offset: usize = ranges
             .iter()
-            .zip(&self.strides)
+            .zip(self.strides.iter())
             .map(|(&(s, _), &st)| s * st)
             .sum();
-        let dims: Vec<usize> = ranges.iter().map(|&(s, t)| t - s).collect();
+        let shape: Shape = ranges.iter().map(|&(s, t)| t - s).collect();
         #[cfg(debug_assertions)]
-        self.claim(ranges, &dims);
+        self.claim(ranges, shape.dims());
         // SAFETY: `base + offset` addresses within the tensor buffer for
         // any in-bounds region; disjointness across concurrent callers
         // is the slicer's Table-3 guarantee (checked above in debug).
@@ -157,8 +200,8 @@ impl OutputSlot {
             TensorViewMut::from_raw_parts(
                 self.base.add(offset),
                 self.len - offset,
-                Shape::new(dims),
-                self.strides.clone(),
+                shape,
+                &self.strides,
             )
         }
     }
@@ -168,12 +211,12 @@ impl OutputSlot {
     #[cfg(debug_assertions)]
     fn claim(&self, ranges: &[(usize, usize)], dims: &[usize]) {
         let volume: usize = dims.iter().product();
-        let mut idx = vec![0usize; dims.len()];
+        let mut idx: InlineVec<usize> = dims.iter().map(|_| 0).collect();
         for _ in 0..volume {
             let abs: usize = ranges
                 .iter()
-                .zip(&self.strides)
-                .zip(&idx)
+                .zip(self.strides.iter())
+                .zip(idx.iter())
                 .map(|((&(s, _), &st), &i)| (s + i) * st)
                 .sum();
             assert_eq!(
@@ -213,10 +256,132 @@ fn output_slots(graph: &Graph) -> Vec<OutputSlot> {
 }
 
 /// Publishes a finished kernel's outputs into the environment.
-fn publish(slots: Vec<OutputSlot>, env: &mut HashMap<String, Tensor>) {
+fn publish(slots: Vec<OutputSlot>, env: &mut Env) {
     for slot in slots {
         let (name, tensor) = slot.into_parts();
         env.insert(name, tensor);
+    }
+}
+
+/// The whole of value `v` as bound in `env`, viewed under the kernel's
+/// declared shape.
+fn bound<'e>(kp: &KernelProgram, env: &'e Env, v: ValueId) -> Result<TensorView<'e>> {
+    let value = kp.graph.value(v);
+    let full = env
+        .get(&value.name)
+        .ok_or_else(|| SfError::Codegen(format!("missing binding '{}'", value.name)))?;
+    if full.shape() == &value.shape {
+        Ok(full.view())
+    } else {
+        // The binding was materialized upstream of a layout barrier
+        // and carries the producing kernel's layout; view it under
+        // this segment's declared shape before extracting the tile.
+        Ok(full.view_reshaped(value.shape.clone())?)
+    }
+}
+
+/// What every block of one kernel launch shares: the kernel, its globals
+/// as bound in the environment, and the output slots.
+struct Launch<'a> {
+    kp: &'a KernelProgram,
+    env: &'a Env<'a>,
+    /// Per value: the global's binding, looked up and viewed once for
+    /// the whole launch. `None` for computed values and for a binding
+    /// that is missing or of the wrong volume (an op that reads it
+    /// repeats the lookup for the error).
+    globals: Vec<Option<TensorView<'a>>>,
+    outputs: Vec<OutputSlot>,
+}
+
+impl<'a> Launch<'a> {
+    fn new(kp: &'a KernelProgram, env: &'a Env<'a>) -> Self {
+        let globals = kp
+            .plan()
+            .sections()
+            .iter()
+            .enumerate()
+            .map(|(vi, &section)| match section {
+                Section::Global => bound(kp, env, ValueId(vi)).ok(),
+                _ => None,
+            })
+            .collect();
+        Launch {
+            kp,
+            env,
+            globals,
+            outputs: output_slots(&kp.graph),
+        }
+    }
+
+    /// View of `v` for an op evaluated under `restrict`: the worker's
+    /// slot if the value has been computed — each section only ever sees
+    /// the slots filled before it — and otherwise a global, narrowed to
+    /// the restricted sub-tensor directly in `env` storage.
+    fn view<'s>(
+        &'s self,
+        vals: &'s [Option<Tensor>],
+        v: ValueId,
+        restrict: &Restrict,
+    ) -> Result<TensorView<'s>> {
+        if let Some(t) = &vals[v.0] {
+            return Ok(t.view());
+        }
+        let ranges = self.kp.plan().ranges(&self.kp.graph, v, restrict);
+        // Zero-copy view of the restricted sub-tensor.
+        match &self.globals[v.0] {
+            Some(full) => full.slice(&ranges),
+            None => bound(self.kp, self.env, v)?.slice(&ranges),
+        }
+        .map_err(Into::into)
+    }
+}
+
+/// One worker's state for a kernel launch: its scratch pool and three
+/// lists of value slots, each indexed by `ValueId` and reused across
+/// tiles, partitions and blocks.
+struct Worker<'p> {
+    pool: &'p mut ScratchPool,
+    /// The values of the block being executed: op outputs on the
+    /// current tile, running then finalized aggregates, block-level op
+    /// outputs ([`Section`] says which is which).
+    vals: Slots,
+    /// Superseded aggregates that an update factor still reads: the
+    /// pre-tile values of the UTA dependencies inside the tile loop,
+    /// the left side's pre-fold values during a partition fold.
+    prev: Slots,
+    /// Phase-1 slots of the split-K partition being folded into `vals`.
+    part: Slots,
+}
+
+type Slots = Vec<Option<Tensor>>;
+
+impl<'p> Worker<'p> {
+    fn new(kp: &KernelProgram, pool: &'p mut ScratchPool) -> Self {
+        let empty = || kp.graph.values().iter().map(|_| None).collect();
+        Worker {
+            pool,
+            vals: empty(),
+            prev: empty(),
+            part: empty(),
+        }
+    }
+}
+
+/// Returns the buffers of the filled slots of one section (of every
+/// section with `None`) to the worker's pool, for the next tile or block
+/// on this worker.
+fn recycle(
+    kp: &KernelProgram,
+    slots: &mut [Option<Tensor>],
+    section: Option<Section>,
+    pool: &mut ScratchPool,
+) {
+    for (slot, &s) in slots.iter_mut().zip(kp.plan().sections()) {
+        if section.is_none_or(|only| only == s) {
+            if let Some(tensor) = slot.take() {
+                pool.recycle_tensor(tensor);
+            }
+        }
     }
 }
 
@@ -236,18 +401,20 @@ fn publish(slots: Vec<OutputSlot>, env: &mut HashMap<String, Tensor>) {
 /// see exactly the inputs this kernel saw.
 pub(crate) fn execute_kernel_pooled(
     kp: &KernelProgram,
-    env: &mut HashMap<String, Tensor>,
+    env: &mut Env,
     pool: &mut ScratchPool,
     faults: Option<&FaultInjector>,
 ) -> Result<()> {
-    let slots = output_slots(&kp.graph);
+    let launch = Launch::new(kp, env);
+    let mut worker = Worker::new(kp, pool);
     let blocks: Vec<Restrict> = blocks(&kp.schedule).collect();
     for (bi, block) in blocks.iter().enumerate() {
         isolated(kp, "block", bi, blocks.len(), faults, || {
-            execute_block(kp, env, &slots, block, pool)
+            execute_block(&launch, block, &mut worker)
         })?;
     }
-    publish(slots, env);
+    let outputs = launch.outputs;
+    publish(outputs, env);
     Ok(())
 }
 
@@ -263,7 +430,7 @@ impl ExecEngine {
     pub fn execute_kernel(
         &self,
         kp: &KernelProgram,
-        env: &mut HashMap<String, Tensor>,
+        env: &mut Env,
         opts: &ExecOptions,
         faults: Option<&FaultInjector>,
     ) -> Result<()> {
@@ -289,12 +456,22 @@ impl ExecEngine {
         let threads = opts.effective_threads();
         if let Some(tiles) = kp.plan().tiles.as_ref().filter(|t| t.partitions > 1) {
             // A split-K schedule's unit of parallelism is the
-            // (spatial block × partition) pair, and its real work
-            // includes the sliced reduction extent that the output
-            // volume hides (a decode kernel writes one row but reads
-            // the whole KV cache), so the cutoff is taken on those.
-            let split_work = total_work.saturating_mul(tiles.extent);
-            if threads > 1 && !serial_cutoff(blocks.len() * tiles.partitions, split_work) {
+            // (spatial block × partition) pair, and the output volume
+            // hides its real work (a decode kernel writes one row but
+            // reads the whole KV cache). What its accumulate dispatch
+            // spreads over the workers is what the tile loops stream —
+            // the varying globals phase 1 reads — so the cutoff is
+            // taken on that. (Output volume × sliced extent counted a
+            // GEMM's multiply-adds as elements, and sent kernels of
+            // 2 Ki outputs through two pool hand-shakes and a combine.)
+            let streamed: usize = kp
+                .plan()
+                .globals
+                .iter()
+                .filter(|g| g.varying && g.used_p1)
+                .map(|g| kp.graph.shape(g.value).volume())
+                .sum();
+            if threads > 1 && !serial_cutoff(blocks.len() * tiles.partitions, streamed) {
                 return self.execute_kernel_split(kp, tiles, env, &blocks, threads, faults);
             }
         }
@@ -302,12 +479,12 @@ impl ExecEngine {
             return self.with_serial_scratch(|pool| execute_kernel_pooled(kp, env, pool, faults));
         }
 
-        let slots = output_slots(&kp.graph);
-        let env_ref: &HashMap<String, Tensor> = env;
-        self.dispatch(kp, "block", workers, blocks.len(), faults, &|bi, pool| {
-            execute_block(kp, env_ref, &slots, &blocks[bi], pool)
+        let launch = Launch::new(kp, env);
+        self.dispatch(kp, "block", workers, blocks.len(), faults, &|bi, worker| {
+            execute_block(&launch, &blocks[bi], worker)
         })?;
-        publish(slots, env);
+        let outputs = launch.outputs;
+        publish(outputs, env);
         Ok(())
     }
 
@@ -327,23 +504,27 @@ impl ExecEngine {
         workers: usize,
         n_items: usize,
         faults: Option<&FaultInjector>,
-        item: &(dyn Fn(usize, &mut ScratchPool) -> Result<()> + Sync),
+        item: &(dyn Fn(usize, &mut Worker) -> Result<()> + Sync),
     ) -> Result<()> {
         let chunk = n_items.div_ceil(workers * 4).max(1);
         let next = AtomicUsize::new(0);
         let failures: Mutex<Vec<(usize, SfError)>> = Mutex::new(Vec::new());
-        let panicked = self.run_dispatch(workers, &|pool: &mut ScratchPool| loop {
-            let start = next.fetch_add(chunk, Ordering::Relaxed);
-            if start >= n_items {
-                return;
-            }
-            for i in start..(start + chunk).min(n_items) {
-                if let Err(e) = isolated(kp, what, i, n_items, faults, || item(i, pool)) {
-                    failures
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push((i, e));
+        let panicked = self.run_dispatch(workers, &|pool: &mut ScratchPool| {
+            let mut worker = Worker::new(kp, pool);
+            loop {
+                let start = next.fetch_add(chunk, Ordering::Relaxed);
+                if start >= n_items {
                     return;
+                }
+                for i in start..(start + chunk).min(n_items) {
+                    if let Err(e) = isolated(kp, what, i, n_items, faults, || item(i, &mut worker))
+                    {
+                        failures
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner)
+                            .push((i, e));
+                        return;
+                    }
                 }
             }
         });
@@ -380,16 +561,15 @@ impl ExecEngine {
         &self,
         kp: &KernelProgram,
         tiles: &TileLoop,
-        env: &mut HashMap<String, Tensor>,
+        env: &mut Env,
         blocks: &[Restrict],
         threads: usize,
         faults: Option<&FaultInjector>,
     ) -> Result<()> {
         let partitions = tiles.partitions;
-        let slots = output_slots(&kp.graph);
+        let launch = Launch::new(kp, env);
         let items = blocks.len() * partitions;
         let partials: Vec<PartialSlot> = (0..items).map(|_| PartialSlot::default()).collect();
-        let env_ref: &HashMap<String, Tensor> = env;
 
         // Dispatch 1: one phase-1 partial per (block, partition).
         self.dispatch(
@@ -398,10 +578,14 @@ impl ExecEngine {
             threads.min(items),
             items,
             faults,
-            &|item, pool| {
+            &|item, worker| {
                 let (bi, p) = (item / partitions, item % partitions);
-                let (lo, hi) = tiles.partition_tiles(p);
-                let state = phase1_partition(kp, tiles, env_ref, &blocks[bi], pool, lo, hi)?;
+                let Worker {
+                    pool, vals, prev, ..
+                } = worker;
+                phase1_partition(&launch, tiles, vals, prev, &blocks[bi], pool, p)?;
+                // The aggregates stay behind in `vals`: park all of it.
+                let state = std::mem::replace(vals, (0..vals.len()).map(|_| None).collect());
                 // SAFETY: item indices are claimed uniquely off the
                 // atomic queue, so this worker is the slot's only
                 // writer; the only reader runs in the combine
@@ -419,8 +603,7 @@ impl ExecEngine {
             threads.min(blocks.len()),
             blocks.len(),
             None,
-            &|bi, pool| {
-                let mut accs: Option<HashMap<ValueId, Tensor>> = None;
+            &|bi, worker| {
                 for p in 0..partitions {
                     // SAFETY: block `bi` is claimed by exactly one
                     // combine worker, making this the sole reader
@@ -431,27 +614,28 @@ impl ExecEngine {
                             pass: format!("exec:{} combine block {bi}", kp.name),
                             payload: format!("phase-1 state missing for partition {p}"),
                         })?;
-                    accs = Some(match accs {
-                        None => state,
-                        Some(acc) => combine_partition_states(kp, acc, state, pool)?,
-                    });
+                    if p == 0 {
+                        worker.vals = state;
+                    } else {
+                        worker.part = state;
+                        combine_partition_states(kp, worker)?;
+                    }
                 }
-                let accs = accs
-                    .ok_or_else(|| SfError::Codegen("split kernel with zero partitions".into()))?;
-                finish_block(kp, env_ref, &slots, &blocks[bi], accs, pool)
+                finish_block(&launch, &blocks[bi], worker)
             },
         )?;
 
-        publish(slots, env);
+        let outputs = launch.outputs;
+        publish(outputs, env);
         Ok(())
     }
 }
 
-/// One (spatial block × partition) phase-1 result: the partial
-/// aggregate state produced by [`phase1_partition`], parked between
-/// the two pool dispatches of a split-K execution.
+/// One (spatial block × partition) phase-1 result: the slots
+/// [`phase1_partition`] left its partial aggregate state in, parked
+/// between the two pool dispatches of a split-K execution.
 #[derive(Default)]
-struct PartialSlot(UnsafeCell<Option<HashMap<ValueId, Tensor>>>);
+struct PartialSlot(UnsafeCell<Option<Slots>>);
 
 // SAFETY: a slot is written by exactly one phase-1 worker (work items
 // are claimed uniquely off the atomic queue) and read by exactly one
@@ -511,136 +695,77 @@ fn sliced_reductions(kp: &KernelProgram) -> Result<&[SlicedReduction]> {
         .ok_or_else(|| SfError::Codegen("sliced plan without temporal slicing".into()))
 }
 
-/// The values one block has computed so far, by the section that
-/// produces them.
-#[derive(Default)]
-struct Computed {
-    /// Op outputs on the current intra-block tile.
-    tile: HashMap<ValueId, Tensor>,
-    /// Running (phase 1) then finalized aggregates of the sliced
-    /// reductions.
-    accs: HashMap<ValueId, Tensor>,
-    /// Block-level op outputs.
-    block: HashMap<ValueId, Tensor>,
-}
-
-impl Computed {
-    /// View of `v` for an op evaluated under `restrict`. A tile value
-    /// shadows the aggregates, which shadow block-level values — each
-    /// section only ever sees the maps filled before it — and anything
-    /// else is a global, viewed directly in `env` storage.
-    fn view<'a>(
-        &'a self,
-        kp: &KernelProgram,
-        env: &'a HashMap<String, Tensor>,
-        v: ValueId,
-        restrict: &Restrict,
-    ) -> Result<TensorView<'a>> {
-        for computed in [&self.tile, &self.accs, &self.block] {
-            if let Some(t) = computed.get(&v) {
-                return Ok(t.view());
-            }
-        }
-        let value = kp.graph.value(v);
-        let full = env
-            .get(&value.name)
-            .ok_or_else(|| SfError::Codegen(format!("missing binding '{}'", value.name)))?;
-        let full = if full.shape() == &value.shape {
-            full.view()
-        } else {
-            // The binding was materialized upstream of a layout barrier
-            // and carries the producing kernel's layout; view it under
-            // this segment's declared shape before extracting the tile.
-            full.view_reshaped(value.shape.clone())?
-        };
-        // Zero-copy view of the restricted sub-tensor.
-        let ranges = kp.plan().ranges(&kp.graph, v, restrict);
-        full.slice(&ranges).map_err(Into::into)
-    }
-}
-
-/// Returns a section's buffers to the worker's pool for the next tile or
-/// block on this worker.
-fn recycle(values: &mut HashMap<ValueId, Tensor>, pool: &mut ScratchPool) {
-    for (_, tensor) in values.drain() {
-        pool.recycle_tensor(tensor);
-    }
-}
-
-fn execute_block(
-    kp: &KernelProgram,
-    env: &HashMap<String, Tensor>,
-    outputs: &[OutputSlot],
-    spatial: &Restrict,
-    pool: &mut ScratchPool,
-) -> Result<()> {
+fn execute_block(launch: &Launch, spatial: &Restrict, worker: &mut Worker) -> Result<()> {
     // Phase 1 over each split-K partition's tile range (one partition
     // spanning every tile when unsplit), folding the partial aggregate
     // states in fixed partition order. The parallel split path computes
     // the same per-partition states concurrently and folds them in the
     // same order, so results are bit-identical at every thread count.
-    let mut accs: HashMap<ValueId, Tensor> = HashMap::new();
-    if let Some(tiles) = &kp.plan().tiles {
+    if let Some(tiles) = &launch.kp.plan().tiles {
         for p in 0..tiles.partitions {
-            let (lo, hi) = tiles.partition_tiles(p);
-            let state = phase1_partition(kp, tiles, env, spatial, pool, lo, hi)?;
-            accs = if p == 0 {
-                state
+            let Worker {
+                pool,
+                vals,
+                prev,
+                part,
+            } = &mut *worker;
+            if p == 0 {
+                phase1_partition(launch, tiles, vals, prev, spatial, pool, p)?;
             } else {
-                combine_partition_states(kp, accs, state, pool)?
-            };
+                phase1_partition(launch, tiles, part, prev, spatial, pool, p)?;
+                combine_partition_states(launch.kp, worker)?;
+            }
         }
     }
-    finish_block(kp, env, outputs, spatial, accs, pool)
+    finish_block(launch, spatial, worker)
 }
 
-/// Runs the phase-1 intra-block loop over tiles `[tile_lo, tile_hi)`
-/// of the sliced dimension, returning the partial aggregate states
-/// (one tensor per sliced reduction, keyed by its output value).
+/// Runs the phase-1 intra-block loop over the tiles of partition `p` of
+/// the sliced dimension, leaving the partial aggregate states (one
+/// tensor per sliced reduction) in `vals`, which it expects empty.
 ///
-/// With the full tile range this is exactly the serial phase-1 loop; a
+/// With one partition this is exactly the serial phase-1 loop; a
 /// split-K partition runs it over its own sub-range, producing a
 /// partial state later folded by [`combine_partition_states`].
 fn phase1_partition(
-    kp: &KernelProgram,
+    launch: &Launch,
     tiles: &TileLoop,
-    env: &HashMap<String, Tensor>,
+    vals: &mut [Option<Tensor>],
+    prev: &mut [Option<Tensor>],
     spatial: &Restrict,
     pool: &mut ScratchPool,
-    tile_lo: usize,
-    tile_hi: usize,
-) -> Result<HashMap<ValueId, Tensor>> {
+    p: usize,
+) -> Result<()> {
+    let kp = launch.kp;
     let graph = &kp.graph;
     let sliced = sliced_reductions(kp)?;
+    let (tile_lo, tile_hi) = tiles.partition_tiles(p);
 
     // `prev` double-buffers the pre-tile values of the UTA update-factor
-    // dependencies (`tiles.uta_deps`): they are moved out of `accs` at
+    // dependencies (`tiles.uta_deps`): they are moved out of `vals` at
     // re-aggregation time, replacing the old whole-map `accs.clone()`
     // snapshot per tile.
-    let mut vals = Computed::default();
-    let mut prev: HashMap<ValueId, Tensor> = HashMap::new();
     for tile in tile_lo..tile_hi {
         let restrict = tiles.tile_restrict(spatial, tile);
-        recycle(&mut prev, pool);
+        recycle(kp, prev, Some(Section::Acc), pool);
         for step in &tiles.phase1 {
             let out = graph.ops()[step.op()].output;
             match *step {
                 Step::Op(oi) => {
-                    let value = eval_op(kp, env, &vals, oi, &restrict, pool)?;
-                    vals.tile.insert(out, value);
+                    let value = eval_op(launch, vals, oi, &restrict, pool)?;
+                    vals[out.0] = Some(value);
                 }
                 Step::Reduce { op: oi, idx } => {
                     let partial =
-                        eval_sliced_partial(kp, env, &vals, oi, tiles.dim, &restrict, pool)?;
-                    let combined = match vals.accs.remove(&out) {
+                        eval_sliced_partial(launch, vals, oi, tiles.dim, &restrict, pool)?;
+                    let combined = match vals[out.0].take() {
                         None => partial,
                         Some(old) => {
                             let combined = match &sliced[idx].agg {
                                 AggKind::Simple => combine(graph, oi, &old, &partial, pool)?,
                                 AggKind::Uta(factors) => {
-                                    let updated = apply_update(
-                                        graph, &old, factors, &prev, &vals.accs, pool,
-                                    )?;
+                                    let updated =
+                                        apply_update(graph, &old, factors, prev, vals, pool)?;
                                     let combined = combine(graph, oi, &updated, &partial, pool)?;
                                     pool.recycle_tensor(updated);
                                     combined
@@ -650,87 +775,82 @@ fn phase1_partition(
                             // Later UTA updates in this tile read the
                             // dependency's pre-tile value from `prev`.
                             if tiles.uta_deps.contains(&out) {
-                                prev.insert(out, old);
+                                prev[out.0] = Some(old);
                             } else {
                                 pool.recycle_tensor(old);
                             }
                             combined
                         }
                     };
-                    vals.accs.insert(out, combined);
+                    vals[out.0] = Some(combined);
                 }
             }
         }
-        recycle(&mut vals.tile, pool);
+        recycle(kp, vals, Some(Section::Tile), pool);
     }
-    recycle(&mut prev, pool);
-    Ok(vals.accs)
+    recycle(kp, prev, Some(Section::Acc), pool);
+    Ok(())
 }
 
-/// Folds partition `right`'s partial aggregate states into `left`
-/// (partitions are folded left-to-right in partition order — the fixed
-/// combine order that keeps results reproducible at every thread
-/// count).
+/// Folds the partition state in `worker.part` into the one in
+/// `worker.vals` (partitions are folded left-to-right in partition
+/// order — the fixed combine order that keeps results reproducible at
+/// every thread count).
 ///
-/// Walks the sliced reductions in plan (topological) order building the
-/// combined map: a Simple aggregate merges directly with its combine
-/// operator; a UTA partial first rescales **both** sides by the update
-/// factors evaluated against the already-combined dependency values
-/// (the serial tile loop only updates its old side because a fresh
-/// tile partial is already expressed against the current factor values
-/// — a partition's state is not). For attention this computes the
+/// Walks the sliced reductions in plan (topological) order, replacing
+/// each left aggregate by the combined one and keeping the replaced
+/// value in `worker.prev`: a Simple aggregate merges directly with its
+/// combine operator; a UTA partial first rescales **both** sides by the
+/// update factors evaluated against the already-combined dependency
+/// values (the serial tile loop only updates its old side because a
+/// fresh tile partial is already expressed against the current factor
+/// values — a partition's state is not). For attention this computes the
 /// FlashDecoding fixup `o = o_a·(s_a/s)·e^(m_a−m) + o_b·(s_b/s)·e^(m_b−m)`.
-fn combine_partition_states(
-    kp: &KernelProgram,
-    mut left: HashMap<ValueId, Tensor>,
-    mut right: HashMap<ValueId, Tensor>,
-    pool: &mut ScratchPool,
-) -> Result<HashMap<ValueId, Tensor>> {
+fn combine_partition_states(kp: &KernelProgram, worker: &mut Worker) -> Result<()> {
     let graph = &kp.graph;
-    let mut combined: HashMap<ValueId, Tensor> = HashMap::new();
+    let Worker {
+        pool,
+        vals: combined,
+        prev: left,
+        part: right,
+    } = worker;
     for sl in sliced_reductions(kp)? {
         let out = graph.ops()[sl.op.0].output;
-        let (l, r) = match (left.get(&out), right.get(&out)) {
+        let (l, r) = match (combined[out.0].take(), &right[out.0]) {
             (Some(l), Some(r)) => (l, r),
             _ => return Err(SfError::Codegen("partition state missing aggregate".into())),
         };
         let merged = match &sl.agg {
-            AggKind::Simple => combine(graph, sl.op.0, l, r, pool)?,
+            AggKind::Simple => combine(graph, sl.op.0, &l, r, pool)?,
             AggKind::Uta(factors) => {
                 // Dependencies precede this reduction in plan order, so
-                // `combined` already holds their folded values.
-                let l_upd = apply_update(graph, l, factors, &left, &combined, pool)?;
-                let r_upd = apply_update(graph, r, factors, &right, &combined, pool)?;
+                // `combined` already holds their folded values and
+                // `left` their pre-fold ones.
+                let l_upd = apply_update(graph, &l, factors, left, combined, pool)?;
+                let r_upd = apply_update(graph, r, factors, right, combined, pool)?;
                 let merged = combine(graph, sl.op.0, &l_upd, &r_upd, pool)?;
                 pool.recycle_tensor(l_upd);
                 pool.recycle_tensor(r_upd);
                 merged
             }
         };
-        combined.insert(out, merged);
+        left[out.0] = Some(l);
+        combined[out.0] = Some(merged);
     }
-    recycle(&mut left, pool);
-    recycle(&mut right, pool);
-    Ok(combined)
+    recycle(kp, left, Some(Section::Acc), pool);
+    recycle(kp, right, Some(Section::Acc), pool);
+    Ok(())
 }
 
-/// Finalizes a block from its folded aggregate states (none for an
-/// unsliced kernel): mean division, the block-level ops, the phase-2
-/// output re-stream, and the scatters into the shared output slots.
-fn finish_block(
-    kp: &KernelProgram,
-    env: &HashMap<String, Tensor>,
-    outputs: &[OutputSlot],
-    spatial: &Restrict,
-    accs: HashMap<ValueId, Tensor>,
-    pool: &mut ScratchPool,
-) -> Result<()> {
+/// Finalizes a block from the folded aggregate states in its slots
+/// (none for an unsliced kernel): mean division, the block-level ops,
+/// the phase-2 output re-stream, and the scatters into the shared
+/// output slots.
+fn finish_block(launch: &Launch, spatial: &Restrict, worker: &mut Worker) -> Result<()> {
+    let kp = launch.kp;
     let graph = &kp.graph;
     let plan = kp.plan();
-    let mut vals = Computed {
-        accs,
-        ..Computed::default()
-    };
+    let Worker { pool, vals, .. } = worker;
 
     // Finalize mean accumulators (in place; same scalar division the
     // reference `binary_scalar(Div, ...)` performs).
@@ -744,7 +864,7 @@ fn finish_block(
                 op: ReduceOp::Mean, ..
             } = op.kind
             {
-                if let Some(acc) = vals.accs.get_mut(&op.output) {
+                if let Some(acc) = vals[op.output.0].as_mut() {
                     for v in acc.data_mut() {
                         *v /= tiles.extent as f32;
                     }
@@ -755,8 +875,8 @@ fn finish_block(
 
     // Block-level ops, on the finalized aggregates.
     for &oi in &plan.block_ops {
-        let out = eval_op(kp, env, &vals, oi, spatial, pool)?;
-        vals.block.insert(graph.ops()[oi].output, out);
+        let out = eval_op(launch, vals, oi, spatial, pool)?;
+        vals[graph.ops()[oi].output.0] = Some(out);
     }
 
     // Phase 2: re-stream tiles to produce outputs spanning the sliced
@@ -765,33 +885,29 @@ fn finish_block(
         for tile in 0..tiles.n_tiles() {
             let restrict = tiles.tile_restrict(spatial, tile);
             for &oi in &p2.ops {
-                let out = eval_op(kp, env, &vals, oi, &restrict, pool)?;
-                vals.tile.insert(graph.ops()[oi].output, out);
+                let out = eval_op(launch, vals, oi, &restrict, pool)?;
+                vals[graph.ops()[oi].output.0] = Some(out);
             }
-            for slot in stored(outputs, &p2.tile_stores) {
-                let value = vals
-                    .tile
-                    .get(&slot.value)
+            for slot in stored(&launch.outputs, &p2.tile_stores) {
+                let value = vals[slot.value.0]
+                    .as_ref()
                     .ok_or_else(|| SfError::Codegen("phase-2 output missing".into()))?;
                 scatter(kp, slot, &restrict, value)?;
             }
-            recycle(&mut vals.tile, pool);
+            recycle(kp, vals, Some(Section::Tile), pool);
         }
     }
 
     // Outputs that do not span the sliced dimension come from the
     // aggregates / block-level values.
-    for slot in stored(outputs, &plan.block_stores) {
-        let value = vals
-            .accs
-            .get(&slot.value)
-            .or_else(|| vals.block.get(&slot.value))
+    for slot in stored(&launch.outputs, &plan.block_stores) {
+        let value = vals[slot.value.0]
+            .as_ref()
             .ok_or_else(|| SfError::Codegen("block output missing".into()))?;
         scatter(kp, slot, spatial, value)?;
     }
 
-    recycle(&mut vals.accs, pool);
-    recycle(&mut vals.block, pool);
+    recycle(kp, vals, None, pool);
     Ok(())
 }
 
@@ -809,12 +925,15 @@ fn scatter(
     tile: &Tensor,
 ) -> Result<()> {
     let ranges = kp.plan().ranges(&kp.graph, slot.value, restrict);
-    let out_dims: Vec<usize> = ranges.iter().map(|&(s, t)| t - s).collect();
-    if out_dims != tile.shape().dims() {
+    if !ranges
+        .iter()
+        .map(|&(s, t)| t - s)
+        .eq(tile.shape().dims().iter().copied())
+    {
         return Err(SfError::Codegen(format!(
             "scatter shape mismatch: tile {:?} vs region {:?}",
             tile.shape().dims(),
-            out_dims
+            ranges.iter().map(|&(s, t)| t - s).collect::<Vec<_>>()
         )));
     }
     let mut region = slot.region_mut(&ranges);
@@ -823,15 +942,15 @@ fn scatter(
 
 /// Evaluates one (non-sliced) operator on restricted views.
 fn eval_op(
-    kp: &KernelProgram,
-    env: &HashMap<String, Tensor>,
-    vals: &Computed,
+    launch: &Launch,
+    vals: &[Option<Tensor>],
     op_idx: usize,
     restrict: &Restrict,
     pool: &mut ScratchPool,
 ) -> Result<Tensor> {
+    let kp = launch.kp;
     let op = &kp.graph.ops()[op_idx];
-    let get = |i: usize| vals.view(kp, env, op.inputs[i], restrict);
+    let get = |i: usize| launch.view(vals, op.inputs[i], restrict);
     let out = match &op.kind {
         OpKind::Gemm { transpose_b } => viewed::matmul(&get(0)?, &get(1)?, *transpose_b, pool)?,
         OpKind::Unary(u) => viewed::unary(*u, &get(0)?, pool),
@@ -855,20 +974,20 @@ fn eval_op(
 ///
 /// Mean reductions accumulate raw sums (finalized at loop end).
 fn eval_sliced_partial(
-    kp: &KernelProgram,
-    env: &HashMap<String, Tensor>,
-    vals: &Computed,
+    launch: &Launch,
+    vals: &[Option<Tensor>],
     op_idx: usize,
     dim: DimId,
     restrict: &Restrict,
     pool: &mut ScratchPool,
 ) -> Result<Tensor> {
+    let kp = launch.kp;
     let op = &kp.graph.ops()[op_idx];
     match &op.kind {
         // A sliced GEMM contracts over the tile like any other.
-        OpKind::Gemm { .. } => eval_op(kp, env, vals, op_idx, restrict, pool),
+        OpKind::Gemm { .. } => eval_op(launch, vals, op_idx, restrict, pool),
         OpKind::Reduce { op: r, dim: axis } => {
-            let input = vals.view(kp, env, op.inputs[0], restrict)?;
+            let input = launch.view(vals, op.inputs[0], restrict)?;
             // Sanity: the reduce axis must be the sliced dimension.
             debug_assert_eq!(kp.schedule.smg.value_axes[op.inputs[0].0][*axis], dim);
             let kind = if *r == ReduceOp::Mean {
@@ -907,24 +1026,24 @@ fn combine(
 /// `Π g(dep_old, dep_new)`.
 ///
 /// `prev` holds the dependencies' pre-tile values (moved out of the
-/// accumulator map when the dependency re-aggregated this tile);
-/// `current` holds their freshly combined values.
+/// value slots when the dependency re-aggregated this tile); `current`
+/// holds their freshly combined values.
 fn apply_update(
     graph: &Graph,
     old_acc: &Tensor,
     factors: &[crate::slicer::UpdateFactor],
-    prev: &HashMap<ValueId, Tensor>,
-    current: &HashMap<ValueId, Tensor>,
+    prev: &[Option<Tensor>],
+    current: &[Option<Tensor>],
     pool: &mut ScratchPool,
 ) -> Result<Tensor> {
     let mut result: Option<Tensor> = None;
     for f in factors {
         let dep_out = graph.ops()[f.dep.0].output;
-        let old = prev
-            .get(&dep_out)
+        let old = prev[dep_out.0]
+            .as_ref()
             .ok_or_else(|| SfError::Codegen("missing old dependency value".into()))?;
-        let new = current
-            .get(&dep_out)
+        let new = current[dep_out.0]
+            .as_ref()
             .ok_or_else(|| SfError::Codegen("missing new dependency value".into()))?;
         let g = match f.form {
             FactorForm::Recip => viewed::binary(BinaryOp::Div, &old.view(), &new.view(), pool)?,

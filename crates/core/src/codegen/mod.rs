@@ -28,7 +28,7 @@ pub mod trace;
 
 pub use emit::emit_pseudocode;
 pub use engine::{serial_cutoff, ExecEngine, WorkerPool, MIN_PARALLEL_WORK};
-pub use exec::ExecOptions;
+pub use exec::{Env, ExecOptions};
 pub use instr::{lower_instructions, store_region, AxisWrite, Instr, MemSpace};
 pub use plan::KernelPlan;
 pub use program::KernelProgram;

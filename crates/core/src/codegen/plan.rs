@@ -28,11 +28,34 @@ use crate::sched::{FusedSchedule, OpRole};
 use crate::slicer::{AggKind, CombineSpec};
 use crate::smg::DimId;
 use sf_ir::{Graph, OpId, ValueId, ValueKind};
+use sf_tensor::InlineVec;
 
 /// Dimension restrictions of one block or tile: `dim -> [start, end)`,
 /// the spatial dimensions in schedule order, then (inside the
-/// intra-block loop) the temporal tile.
-pub(crate) type Restrict = Vec<(DimId, (usize, usize))>;
+/// intra-block loop) the temporal tile. Stored inline: the executor and
+/// the tracer build one per tile.
+pub(crate) type Restrict = InlineVec<(DimId, (usize, usize))>;
+
+/// Per-axis `[start, end)` ranges of one value under a [`Restrict`].
+pub(crate) type Ranges = InlineVec<(usize, usize)>;
+
+/// Which section of the loop nest holds a value, i.e. for how long the
+/// executor's slot of that value stays filled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// A kernel input or weight: read from the environment, never
+    /// computed.
+    Global,
+    /// Produced per intra-block tile by an in-loop op (in either pass)
+    /// and dead at the end of that tile.
+    Tile,
+    /// The running, then finalized, aggregate of a sliced reduction:
+    /// lives across the tiles of a block.
+    Acc,
+    /// Produced once per block: a post-loop op, or any op of an
+    /// unsliced kernel.
+    Block,
+}
 
 /// One kernel global (input or weight) and where the kernel reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,6 +241,10 @@ pub struct KernelPlan {
     /// (narrow types: every cached kernel keeps this table).
     axis_off: Vec<u32>,
     axes: Vec<AxisTile>,
+    /// The section of each value: with `ValueId` as the dense slot
+    /// number, all the executor needs to address its per-worker value
+    /// slots (one byte per value).
+    sections: Vec<Section>,
 }
 
 impl KernelPlan {
@@ -360,6 +387,24 @@ impl KernelPlan {
         }
         axis_off.push(axes.len() as u32);
 
+        let mut sections: Vec<Section> = graph
+            .values()
+            .iter()
+            .map(|v| match v.kind {
+                ValueKind::Input | ValueKind::Weight => Section::Global,
+                ValueKind::Intermediate => Section::Block,
+            })
+            .collect();
+        if tiles.is_some() {
+            for (op, role) in graph.ops().iter().zip(roles) {
+                sections[op.output.0] = match role {
+                    OpRole::InLoop => Section::Tile,
+                    OpRole::SlicedReduction(_) => Section::Acc,
+                    OpRole::PostLoop => Section::Block,
+                };
+            }
+        }
+
         KernelPlan {
             globals,
             tiles,
@@ -367,7 +412,13 @@ impl KernelPlan {
             block_stores,
             axis_off,
             axes,
+            sections,
         }
+    }
+
+    /// The section of each value, indexed by `ValueId`.
+    pub fn sections(&self) -> &[Section] {
+        &self.sections
     }
 
     /// The second streaming pass and the tile loop it re-runs, if the
@@ -383,12 +434,7 @@ impl KernelPlan {
     }
 
     /// Per-axis `[start, end)` ranges of `v` under a restriction.
-    pub(crate) fn ranges(
-        &self,
-        graph: &Graph,
-        v: ValueId,
-        restrict: &Restrict,
-    ) -> Vec<(usize, usize)> {
+    pub(crate) fn ranges(&self, graph: &Graph, v: ValueId, restrict: &Restrict) -> Ranges {
         graph
             .shape(v)
             .dims()

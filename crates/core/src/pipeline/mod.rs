@@ -32,7 +32,7 @@ pub use stats::{
     PassId,
 };
 
-use crate::codegen::{estimate_cost, trace_kernel, ExecEngine, ExecOptions, KernelProgram};
+use crate::codegen::{estimate_cost, trace_kernel, Env, ExecEngine, ExecOptions, KernelProgram};
 use crate::error::{Result, SfError};
 use crate::resilience::{panic_payload, Deadline, DegradationReport, FaultInjector, Rung};
 use crate::sched::SlicingOptions;
@@ -209,11 +209,11 @@ impl CompiledProgram {
         bindings: &HashMap<String, Tensor>,
         opts: &ExecOptions,
     ) -> Result<Vec<Tensor>> {
-        let mut env = bindings.clone();
+        let mut env = Env::new(bindings);
         for k in &self.kernels {
             self.engine.execute_kernel(k, &mut env, opts, None)?;
         }
-        self.resolve_outputs(&env)
+        self.resolve_outputs(env)
     }
 
     /// The execution engine this program runs on.
@@ -254,7 +254,7 @@ impl CompiledProgram {
                 if i >= batches.len() {
                     return;
                 }
-                let mut env = batches[i].clone();
+                let mut env = Env::new(&batches[i]);
                 let mut failed = None;
                 for k in &self.kernels {
                     if let Err(e) =
@@ -266,7 +266,7 @@ impl CompiledProgram {
                 }
                 let out = match failed {
                     Some(e) => Err(e),
-                    None => self.resolve_outputs(&env),
+                    None => self.resolve_outputs(env),
                 };
                 // Each index is claimed exactly once, so the slot is empty.
                 let _ = results[i].set(out);
@@ -305,7 +305,7 @@ impl CompiledProgram {
         opts: &ExecOptions,
         faults: Option<&FaultInjector>,
     ) -> Result<(Vec<Tensor>, DegradationReport)> {
-        let mut env = bindings.clone();
+        let mut env = Env::new(bindings);
         let mut report = DegradationReport::default();
         for k in &self.kernels {
             if let Err(e) = self.engine.execute_kernel(k, &mut env, opts, faults) {
@@ -313,24 +313,37 @@ impl CompiledProgram {
                 report.record(k.name.clone(), Rung::Unfused, e.to_string());
             }
         }
-        Ok((self.resolve_outputs(&env)?, report))
+        Ok((self.resolve_outputs(env)?, report))
     }
 
-    fn resolve_outputs(&self, env: &HashMap<String, Tensor>) -> Result<Vec<Tensor>> {
-        self.outputs
-            .iter()
-            .map(|(n, shape)| {
-                let t = env
+    /// Hands the program outputs out of a finished environment. A
+    /// produced tensor is moved, not copied; only an output that is
+    /// also a caller's binding, or is named again later in the list, is
+    /// cloned.
+    fn resolve_outputs(&self, mut env: Env) -> Result<Vec<Tensor>> {
+        let mut outs = Vec::with_capacity(self.outputs.len());
+        for (i, (n, shape)) in self.outputs.iter().enumerate() {
+            let named_again = self.outputs[i + 1..].iter().any(|(later, _)| later == n);
+            let owned = if named_again {
+                None
+            } else {
+                env.take_produced(n)
+            };
+            let t = match owned {
+                Some(t) => t,
+                None => env
                     .get(n)
-                    .ok_or_else(|| SfError::Codegen(format!("missing output '{n}'")))?;
-                if t.shape() == shape {
-                    Ok(t.clone())
-                } else {
-                    // The declared output sits behind a layout barrier.
-                    Ok(t.reshape(shape.clone())?)
-                }
-            })
-            .collect()
+                    .ok_or_else(|| SfError::Codegen(format!("missing output '{n}'")))?
+                    .clone(),
+            };
+            outs.push(if t.shape() == shape {
+                t
+            } else {
+                // The declared output sits behind a layout barrier.
+                Tensor::from_data(shape.clone(), t.dtype(), t.into_data())?
+            });
+        }
+        Ok(outs)
     }
 
     /// Profiles the program through the cache-simulating profiler.
@@ -407,7 +420,7 @@ impl CompiledProgram {
 /// Evaluates one kernel's subgraph on the reference interpreter,
 /// publishing its outputs into the shared environment. This is the
 /// executor-side bottom rung of the degradation ladder.
-fn reference_kernel(k: &KernelProgram, env: &mut HashMap<String, Tensor>) -> Result<()> {
+fn reference_kernel(k: &KernelProgram, env: &mut Env) -> Result<()> {
     let mut bindings = HashMap::new();
     for v in k.graph.values() {
         if !matches!(v.kind, ValueKind::Input | ValueKind::Weight) {

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Identifier of a global dimension of the fused computational space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DimId(pub usize);
 
 /// A global dimension: name and extent.

@@ -11,7 +11,9 @@
 //!
 //! A second pair of counters tracks recycling-enabled pools only:
 //! [`pool_hits`] (a `take` served from recycled storage) and
-//! [`pool_misses`] (a `take` that had to allocate). Because the
+//! [`pool_misses`] (a `take` that had to allocate), each pool adding
+//! its counts when it is flushed ([`ScratchPool::flush_stats`](crate::ScratchPool::flush_stats):
+//! once per kernel per worker, and on drop). Because the
 //! execution engine's worker pools persist across
 //! `ExecEngine::execute_kernel` calls, the hit ratio measures *cross-call*
 //! scratch reuse: after a warm-up execution, repeated executions should
@@ -31,16 +33,13 @@ pub(crate) fn record_alloc() {
     ALLOCS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Records one pooled `take` served from recycled storage
-/// (crate-internal).
-pub(crate) fn record_pool_hit() {
-    POOL_HITS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records one pooled `take` that had to allocate fresh storage
-/// (crate-internal; disabled pools do not count as misses).
-pub(crate) fn record_pool_miss() {
-    POOL_MISSES.fetch_add(1, Ordering::Relaxed);
+/// Adds a pool's `take` counts since its last flush: `hits` served
+/// from recycled storage, `misses` that allocated (crate-internal;
+/// disabled pools count neither). Pools batch these so that the hot
+/// path of several workers does not share a cache line.
+pub(crate) fn record_pool_takes(hits: u64, misses: u64) {
+    POOL_HITS.fetch_add(hits, Ordering::Relaxed);
+    POOL_MISSES.fetch_add(misses, Ordering::Relaxed);
 }
 
 /// Number of fresh tensor-buffer allocations since the last

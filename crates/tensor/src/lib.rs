@@ -19,6 +19,7 @@ pub mod alloc_stats;
 pub mod compare;
 pub mod dtype;
 pub mod error;
+pub mod inline;
 pub mod ops;
 pub mod rng;
 pub mod scratch;
@@ -32,6 +33,7 @@ pub mod view;
 pub use compare::{assert_tensors_bitwise, assert_tensors_close, compare_tensors, Tolerance};
 pub use dtype::DType;
 pub use error::{Result, TensorError};
+pub use inline::InlineVec;
 pub use scratch::ScratchPool;
 pub use shape::Shape;
 pub use tensor::Tensor;

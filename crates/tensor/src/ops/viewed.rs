@@ -11,59 +11,64 @@
 //! implementations (row-major element order, `i/j/k` GEMM loop nest),
 //! which keeps pooled, viewed, and dense execution bit-identical.
 //!
-//! Contiguous operands take stride-1 fast paths: slice-to-slice loops
-//! for element-wise ops, an order-preserving 4-wide unrolled inner loop
-//! for reductions and dot products, and a cache-friendly `i/k/j` loop
-//! for the untransposed GEMM. Every fast path performs the *same*
-//! floating-point operations in the *same* order as the generic strided
-//! path (unrolling only batches loop control, never reassociates), so
-//! which path runs is unobservable in the results — the engine's
+//! Strided and broadcast operands are walked by the row-run traversal
+//! of [`crate::view`] — an odometer over the outer axes, one slice loop
+//! per run of the innermost axis — so no kernel decodes an index per
+//! element. Contiguous operands take stride-1 fast paths: slice-to-slice
+//! loops for element-wise ops, an order-preserving 4-wide unrolled inner
+//! loop for reductions and dot products, and a cache-friendly `i/k/j`
+//! loop for the untransposed GEMM. Every path performs the *same*
+//! floating-point operations in the *same* order (unrolling only
+//! batches loop control, never reassociates), so which path runs is
+//! unobservable in the results — the engine's
 //! bit-identical-at-every-thread-count invariant does not depend on
 //! contiguity being deterministic, though it is.
 
 use super::{BinaryOp, ReduceOp, UnaryOp};
 use crate::error::{Result, TensorError};
+use crate::inline::InlineVec;
 use crate::scratch::ScratchPool;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
-use crate::view::TensorView;
+use crate::view::{for_each_run, map_run, split_inner, TensorView};
+
+/// `match $op` with one arm per listed variant, each evaluating `$body`
+/// with the constant `$k` set to that variant. With the operator a
+/// constant, `eval` folds to its one expression and a closure calling it
+/// captures nothing, so every loop in `$body` is compiled per operator
+/// with no dispatch inside it (a dispatch per element is what keeps such
+/// a loop from vectorising).
+macro_rules! per_variant {
+    ($op:expr, $ty:ident [$($v:ident)*], |$k:ident| $body:expr) => {
+        match $op { $($ty::$v => { const $k: $ty = $ty::$v; $body })* }
+    };
+}
+
+macro_rules! per_binary_op {
+    ($op:expr, |$k:ident| $body:expr) => {
+        per_variant!($op, BinaryOp [Add Sub Mul Div Max Min], |$k| $body)
+    };
+}
+
+/// A pooled tensor of `x`'s shape with `out[i] = f(x[i])`.
+fn map_view(x: &TensorView, pool: &mut ScratchPool, f: impl Fn(f32) -> f32) -> Tensor {
+    let mut out = pool.take_for_overwrite(x.volume());
+    x.map_into(&mut out, f);
+    Tensor::from_data(x.shape().clone(), x.dtype(), out).expect("a map preserves volume")
+}
 
 /// Applies a unary operator element-wise.
 pub fn unary(op: UnaryOp, x: &TensorView, pool: &mut ScratchPool) -> Tensor {
-    let volume = x.volume();
-    let mut out = pool.take(volume);
-    if let Some(src) = x.as_slice() {
-        for (slot, &v) in out.iter_mut().zip(src) {
-            *slot = op.eval(v);
-        }
-    } else {
-        let dec = x.shape().strides();
-        let strides = x.strides();
-        let xd = x.data();
-        for (lin, slot) in out.iter_mut().enumerate() {
-            *slot = op.eval(xd[decode(lin, &dec, strides)]);
-        }
-    }
-    Tensor::from_data(x.shape().clone(), x.dtype(), out).expect("unary preserves volume")
+    per_variant!(
+        op,
+        UnaryOp [Exp Neg Sqrt Sqr Recip Relu Gelu Tanh Sigmoid Silu Log Abs Identity],
+        |OP| map_view(x, pool, |v| OP.eval(v))
+    )
 }
 
 /// Applies `op(x, scalar)` element-wise.
 pub fn binary_scalar(op: BinaryOp, x: &TensorView, scalar: f32, pool: &mut ScratchPool) -> Tensor {
-    let volume = x.volume();
-    let mut out = pool.take(volume);
-    if let Some(src) = x.as_slice() {
-        for (slot, &v) in out.iter_mut().zip(src) {
-            *slot = op.eval(v, scalar);
-        }
-    } else {
-        let dec = x.shape().strides();
-        let strides = x.strides();
-        let xd = x.data();
-        for (lin, slot) in out.iter_mut().enumerate() {
-            *slot = op.eval(xd[decode(lin, &dec, strides)], scalar);
-        }
-    }
-    Tensor::from_data(x.shape().clone(), x.dtype(), out).expect("binary_scalar preserves volume")
+    per_binary_op!(op, |OP| map_view(x, pool, |v| OP.eval(v, scalar)))
 }
 
 /// Applies a binary operator element-wise with limited broadcasting
@@ -75,40 +80,62 @@ pub fn binary(
     b: &TensorView,
     pool: &mut ScratchPool,
 ) -> Result<Tensor> {
+    per_binary_op!(op, |OP| zip_views(a, b, pool, |x, y| OP.eval(x, y)))
+}
+
+/// `out = f(a, b)` under broadcasting, for one concrete `f`.
+fn zip_views(
+    a: &TensorView,
+    b: &TensorView,
+    pool: &mut ScratchPool,
+    f: impl Fn(f32, f32) -> f32,
+) -> Result<Tensor> {
     let out_shape = a.shape().broadcast_with(b.shape())?;
-    let rank = out_shape.rank();
-    let volume = out_shape.volume();
+    let mut data = pool.take_for_overwrite(out_shape.volume());
+    let zip_rows = |row: &mut [f32], xs: &[f32], ys: &[f32]| {
+        for ((slot, &x), &y) in row.iter_mut().zip(xs).zip(ys) {
+            *slot = f(x, y);
+        }
+    };
 
     // Fast path: same shape, both contiguous — one zip loop, no index
     // arithmetic. Element-wise, so per-element order is unchanged.
     if a.dims() == b.dims() {
         if let (Some(xs), Some(ys)) = (a.as_slice(), b.as_slice()) {
-            let mut data = pool.take(volume);
-            for ((slot, &x), &y) in data.iter_mut().zip(xs).zip(ys) {
-                *slot = op.eval(x, y);
-            }
+            zip_rows(&mut data, xs, ys);
             return Ok(Tensor::from_data(out_shape, a.dtype(), data).expect("volume matches"));
         }
     }
 
-    let out_strides = out_shape.strides();
     let a_strides = masked_strides(a, &out_shape);
     let b_strides = masked_strides(b, &out_shape);
-
-    let mut data = pool.take(volume);
-    let a_data = a.data();
-    let b_data = b.data();
-    for (lin, slot) in data.iter_mut().enumerate() {
-        let mut a_off = 0;
-        let mut b_off = 0;
-        let mut rem = lin;
-        for d in 0..rank {
-            let idx = rem / out_strides[d];
-            rem %= out_strides[d];
-            a_off += idx * a_strides[d];
-            b_off += idx * b_strides[d];
-        }
-        *slot = op.eval(a_data[a_off], b_data[b_off]);
+    let (outer, n, sa) = split_inner(out_shape.dims(), &a_strides);
+    let sb = b_strides.last().copied().unwrap_or(0);
+    let (ad, bd) = (a.data(), b.data());
+    if !data.is_empty() {
+        let mut rows = data.chunks_exact_mut(n);
+        for_each_run(outer, [&a_strides, &b_strides], |[ao, bo]| {
+            let row = rows.next().expect("one output row per run");
+            // The inner loop by operand stride: dense against dense, or
+            // one side broadcast (the `x - rowmax`, `e / rowsum` and
+            // bias-add patterns) through `map_run`'s slice loops.
+            match (sa, sb) {
+                (1, 1) => zip_rows(row, &ad[ao..ao + n], &bd[bo..bo + n]),
+                (_, 0) => {
+                    let y = bd[bo];
+                    map_run(row, ad, ao, sa, |x| f(x, y));
+                }
+                (0, _) => {
+                    let x = ad[ao];
+                    map_run(row, bd, bo, sb, |y| f(x, y));
+                }
+                _ => {
+                    for (i, slot) in row.iter_mut().enumerate() {
+                        *slot = f(ad[ao + i * sa], bd[bo + i * sb]);
+                    }
+                }
+            }
+        });
     }
     Ok(Tensor::from_data(out_shape, a.dtype(), data).expect("volume matches"))
 }
@@ -121,22 +148,15 @@ pub fn reduce(op: ReduceOp, x: &TensorView, dim: usize, pool: &mut ScratchPool) 
     }
     let extent = x.shape().dim(dim)?;
     let out_shape = x.shape().with_dim(dim, 1)?;
-    let out_volume = out_shape.volume();
-    let out_strides = out_shape.strides();
     let in_strides = x.strides();
     let xd = x.data();
 
     let stride1 = in_strides[dim] == 1;
-    let mut out = pool.take(out_volume);
-    for (out_lin, slot) in out.iter_mut().enumerate() {
-        // Decode the output index, then walk the reduced dimension.
-        let mut base = 0usize;
-        let mut rem = out_lin;
-        for d in 0..rank {
-            let idx = rem / out_strides[d];
-            rem %= out_strides[d];
-            base += idx * in_strides[d];
-        }
+    let mut out = pool.take_for_overwrite(out_shape.volume());
+    let mut slots = out.iter_mut();
+    // One call per output element, in row-major order, with the offset
+    // of its first input; then walk the reduced dimension.
+    for_each_run(out_shape.dims(), [in_strides], |[base]| {
         let mut acc = op.identity();
         if stride1 {
             // Stride-1 fast path: fold over the contiguous run, 4-wide
@@ -159,8 +179,8 @@ pub fn reduce(op: ReduceOp, x: &TensorView, dim: usize, pool: &mut ScratchPool) 
                 acc = op.combine(acc, xd[base + r * in_strides[dim]]);
             }
         }
-        *slot = op.finalize(acc, extent);
-    }
+        *slots.next().expect("one output element per run") = op.finalize(acc, extent);
+    });
     Tensor::from_data(out_shape, x.dtype(), out)
 }
 
@@ -181,26 +201,16 @@ pub fn broadcast_to(
             x.shape()
         )));
     }
-    let out_shape = x.shape().with_dim(dim, extent)?;
-    let out_strides = out_shape.strides();
-    let in_strides = x.strides();
-    let volume = out_shape.volume();
-    let xd = x.data();
-
-    let mut out = pool.take(volume);
-    for (lin, slot) in out.iter_mut().enumerate() {
-        let mut rem = lin;
-        let mut src = 0usize;
-        for d in 0..rank {
-            let idx = rem / out_strides[d];
-            rem %= out_strides[d];
-            if d != dim {
-                src += idx * in_strides[d];
-            }
-        }
-        *slot = xd[src];
-    }
-    Tensor::from_data(out_shape, x.dtype(), out)
+    // The same storage with stride 0 along `dim`.
+    let mut strides: InlineVec<usize> = x.strides().iter().copied().collect();
+    strides[dim] = 0;
+    let wide = TensorView::new(
+        x.data(),
+        x.shape().with_dim(dim, extent)?,
+        strides,
+        x.dtype(),
+    );
+    Ok(map_view(&wide, pool, |v| v))
 }
 
 /// 2-D matrix multiplication `C[M,N] = A · B` over views.
@@ -238,8 +248,16 @@ pub fn matmul(
     let (bs0, bs1) = (b.strides()[0], b.strides()[1]);
     let ad = a.data();
     let bd = b.data();
-    let mut out = pool.take(m * n);
-    if transpose_b && as1 == 1 && bs1 == 1 && k > 0 {
+    let row_dot = transpose_b && as1 == 1 && bs1 == 1 && k > 0;
+    let ikj = !row_dot && !transpose_b && bs1 == 1 && n > 0;
+    // Only the `i/k/j` nest accumulates into its output; the other two
+    // assign every element.
+    let mut out = if ikj {
+        pool.take(m * n)
+    } else {
+        pool.take_for_overwrite(m * n)
+    };
+    if row_dot {
         // Row-dot fast path: both operand rows are stride-1 slices, so
         // each output is a bounds-check-free dot product, 4-wide
         // unrolled with a single sequential accumulator (same add order
@@ -263,7 +281,7 @@ pub fn matmul(
                 out[i * n + j] = acc;
             }
         }
-    } else if !transpose_b && bs1 == 1 && n > 0 {
+    } else if ikj {
         // `i/k/j` fast path: walk B by stride-1 rows, accumulating into
         // the (zero-initialized) output row. For a fixed (i, j) the
         // additions still happen in ascending-k order starting from
@@ -295,23 +313,11 @@ pub fn matmul(
             }
         }
     }
-    Tensor::from_data(Shape::new(vec![m, n]), a.dtype(), out)
-}
-
-/// Linear index of a row-major position under view strides.
-fn decode(lin: usize, dec: &[usize], strides: &[usize]) -> usize {
-    let mut rem = lin;
-    let mut off = 0usize;
-    for (&d, &s) in dec.iter().zip(strides) {
-        let i = rem / d.max(1);
-        rem %= d.max(1);
-        off += i * s;
-    }
-    off
+    Tensor::from_data([m, n].as_slice().into(), a.dtype(), out)
 }
 
 /// Strides of `v` viewed in `out` shape: broadcast dims get stride 0.
-fn masked_strides(v: &TensorView, out: &Shape) -> Vec<usize> {
+fn masked_strides(v: &TensorView, out: &Shape) -> InlineVec<usize> {
     v.dims()
         .iter()
         .zip(out.dims().iter())

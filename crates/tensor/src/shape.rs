@@ -1,26 +1,34 @@
 //! Tensor shapes and the small shape algebra used by the compiler.
 
 use crate::error::{Result, TensorError};
+use crate::inline::InlineVec;
 use std::fmt;
 
-/// A dense, row-major tensor shape.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Shape(Vec<usize>);
+/// A dense, row-major tensor shape. The extents are stored inline
+/// ([`InlineVec`]), so building, cloning and dropping a shape of
+/// ordinary rank never touches the heap.
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
+pub struct Shape(InlineVec<usize>);
 
 impl Shape {
     /// Creates a shape from its dimension extents.
     pub fn new(dims: Vec<usize>) -> Self {
-        Shape(dims)
+        Shape(dims.into_iter().collect())
     }
 
     /// Creates a scalar (rank-0) shape.
     pub fn scalar() -> Self {
-        Shape(Vec::new())
+        Shape::default()
     }
 
     /// Returns the dimension extents.
     pub fn dims(&self) -> &[usize] {
         &self.0
+    }
+
+    /// The dimension extents, for in-place edits that keep the rank.
+    pub(crate) fn dims_mut(&mut self) -> &mut [usize] {
+        &mut self.0
     }
 
     /// Number of dimensions.
@@ -42,10 +50,12 @@ impl Shape {
     }
 
     /// Row-major strides (in elements).
-    pub fn strides(&self) -> Vec<usize> {
-        let mut strides = vec![1; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            strides[i] = strides[i + 1] * self.0[i + 1];
+    pub fn strides(&self) -> InlineVec<usize> {
+        // The extents, replaced back to front by their running product.
+        let mut strides = self.0.clone();
+        let mut stride = 1;
+        for s in strides.iter_mut().rev() {
+            stride *= std::mem::replace(s, stride);
         }
         strides
     }
@@ -74,9 +84,9 @@ impl Shape {
                 rank: self.0.len(),
             });
         }
-        let mut dims = self.0.clone();
-        dims[dim] = extent;
-        Ok(Shape(dims))
+        let mut shape = self.clone();
+        shape.0[dim] = extent;
+        Ok(shape)
     }
 
     /// Whether `other` broadcasts to `self` (equal extents or `other` has 1).
@@ -99,7 +109,7 @@ impl Shape {
                 rhs: other.clone(),
             });
         }
-        let mut dims = Vec::with_capacity(self.rank());
+        let mut dims = InlineVec::default();
         for (&a, &b) in self.0.iter().zip(other.0.iter()) {
             if a == b || b == 1 {
                 dims.push(a);
@@ -130,15 +140,27 @@ impl fmt::Display for Shape {
     }
 }
 
+impl fmt::Debug for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Shape").field(&self.0).finish()
+    }
+}
+
 impl From<Vec<usize>> for Shape {
     fn from(dims: Vec<usize>) -> Self {
-        Shape(dims)
+        Shape::new(dims)
     }
 }
 
 impl From<&[usize]> for Shape {
     fn from(dims: &[usize]) -> Self {
-        Shape(dims.to_vec())
+        dims.iter().copied().collect()
+    }
+}
+
+impl FromIterator<usize> for Shape {
+    fn from_iter<I: IntoIterator<Item = usize>>(iter: I) -> Self {
+        Shape(iter.into_iter().collect())
     }
 }
 
@@ -150,7 +172,8 @@ mod tests {
     fn volume_and_strides() {
         let s = Shape::new(vec![2, 3, 4]);
         assert_eq!(s.volume(), 24);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
+        assert_eq!(&*s.strides(), &[12, 4, 1]);
+        assert_eq!(format!("{s:?}"), "Shape([2, 3, 4])");
         assert_eq!(s.offset(&[1, 2, 3]), 23);
     }
 

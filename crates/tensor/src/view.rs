@@ -12,11 +12,98 @@
 //! worker its own `TensorViewMut`, so block results scatter into the
 //! shared output without any lock — spatial blocks write disjoint
 //! regions by the slicer's Table-3 legality guarantee.
+//!
+//! Dimensions and strides are stored inline ([`InlineVec`]), so
+//! building, slicing and dropping a view never allocates.
+//!
+//! Everything that walks a strided view element by element — the
+//! element-wise kernels of [`crate::ops::viewed`], [`TensorView::to_tensor`]
+//! and [`TensorViewMut::copy_from_dense`] — shares one *row-run*
+//! traversal: [`for_each_run`] steps an odometer over the outer axes and
+//! hands the caller the storage offset of each run of the innermost
+//! axis, which the caller then walks with a loop chosen by that axis's
+//! stride ([`map_run`]). No index is ever decoded per element.
 
 use crate::dtype::DType;
 use crate::error::{Result, TensorError};
+use crate::inline::InlineVec;
 use crate::shape::Shape;
 use crate::tensor::Tensor;
+
+/// Calls `f` once per index of the `outer` axes, in row-major order,
+/// with the storage offset that index has under each of `K` stride
+/// lists (`strides[k][ax]` belongs to `outer[ax]`). Nothing is called
+/// when an extent is zero; a rank-0 `outer` yields the single offset 0.
+pub(crate) fn for_each_run<const K: usize>(
+    outer: &[usize],
+    strides: [&[usize]; K],
+    mut f: impl FnMut([usize; K]),
+) {
+    if outer.contains(&0) {
+        return;
+    }
+    let mut idx: InlineVec<usize> = outer.iter().map(|_| 0).collect();
+    let mut offs = [0usize; K];
+    loop {
+        f(offs);
+        // Odometer step: bump the last axis, carrying leftwards.
+        let mut ax = outer.len();
+        loop {
+            if ax == 0 {
+                return;
+            }
+            ax -= 1;
+            idx[ax] += 1;
+            for (off, s) in offs.iter_mut().zip(strides) {
+                *off += s[ax];
+            }
+            if idx[ax] < outer[ax] {
+                break;
+            }
+            for (off, s) in offs.iter_mut().zip(strides) {
+                *off -= s[ax] * outer[ax];
+            }
+            idx[ax] = 0;
+        }
+    }
+}
+
+/// Splits a view's axes for the row-run traversal: the outer axes, the
+/// innermost extent and the innermost stride. A rank-0 view is one run
+/// of one element.
+pub(crate) fn split_inner<'a>(dims: &'a [usize], strides: &[usize]) -> (&'a [usize], usize, usize) {
+    match dims.split_last() {
+        Some((&n, outer)) => (outer, n, strides[outer.len()]),
+        None => (dims, 1, 0),
+    }
+}
+
+/// One run of the innermost axis: `out[i] = f(src[off + i * stride])`,
+/// with the loop specialised on the stride (dense, broadcast, other).
+/// `f` must be pure: a broadcast run evaluates it once.
+#[inline]
+pub(crate) fn map_run(
+    out: &mut [f32],
+    src: &[f32],
+    off: usize,
+    stride: usize,
+    f: impl Fn(f32) -> f32,
+) {
+    match stride {
+        1 => {
+            let run = &src[off..off + out.len()];
+            for (slot, &v) in out.iter_mut().zip(run) {
+                *slot = f(v);
+            }
+        }
+        0 => out.fill(f(src[off])),
+        _ => {
+            for (i, slot) in out.iter_mut().enumerate() {
+                *slot = f(src[off + i * stride]);
+            }
+        }
+    }
+}
 
 /// A borrowed, possibly strided, rectangular view of tensor data.
 ///
@@ -44,7 +131,7 @@ pub struct TensorView<'a> {
     /// View shape.
     shape: Shape,
     /// Strides into `data` (elements), one per view dimension.
-    strides: Vec<usize>,
+    strides: InlineVec<usize>,
     /// Storage precision (inherited from the parent).
     dtype: DType,
 }
@@ -52,7 +139,12 @@ pub struct TensorView<'a> {
 impl<'a> TensorView<'a> {
     /// Builds a view over a raw slice (crate-internal: callers guarantee
     /// the strides address within `data`).
-    pub(crate) fn new(data: &'a [f32], shape: Shape, strides: Vec<usize>, dtype: DType) -> Self {
+    pub(crate) fn new(
+        data: &'a [f32],
+        shape: Shape,
+        strides: InlineVec<usize>,
+        dtype: DType,
+    ) -> Self {
         TensorView {
             data,
             shape,
@@ -102,7 +194,11 @@ impl<'a> TensorView<'a> {
     /// Element at a multi-dimensional index.
     pub fn at(&self, index: &[usize]) -> f32 {
         debug_assert_eq!(index.len(), self.rank(), "view index rank mismatch");
-        let off: usize = index.iter().zip(&self.strides).map(|(&i, &s)| i * s).sum();
+        let off: usize = index
+            .iter()
+            .zip(self.strides.iter())
+            .map(|(&i, &s)| i * s)
+            .sum();
         self.data[off]
     }
 
@@ -110,7 +206,7 @@ impl<'a> TensorView<'a> {
     /// order (dimensions of extent 1 are stride-agnostic).
     pub fn is_contiguous(&self) -> bool {
         let mut expected = 1usize;
-        for (&d, &s) in self.shape.dims().iter().zip(&self.strides).rev() {
+        for (&d, &s) in self.shape.dims().iter().zip(self.strides.iter()).rev() {
             if d > 1 {
                 if s != expected {
                     return false;
@@ -141,50 +237,49 @@ impl<'a> TensorView<'a> {
             )));
         }
         let mut offset = 0usize;
-        let mut dims = Vec::with_capacity(ranges.len());
-        for ((&(s, t), &e), &stride) in ranges
-            .iter()
-            .zip(self.shape.dims().iter())
-            .zip(&self.strides)
+        let mut shape = self.shape.clone();
+        for ((&(s, t), e), &stride) in ranges.iter().zip(shape.dims_mut()).zip(self.strides.iter())
         {
-            if s > t || t > e {
+            if s > t || t > *e {
                 return Err(TensorError::InvalidShape(format!(
                     "slice range [{s}, {t}) out of bounds for extent {e}"
                 )));
             }
             offset += s * stride;
-            dims.push(t - s);
+            *e = t - s;
         }
         let offset = offset.min(self.data.len());
         Ok(TensorView {
             data: &self.data[offset..],
-            shape: Shape::new(dims),
+            shape,
             strides: self.strides.clone(),
             dtype: self.dtype,
         })
     }
 
+    /// `out[i] = f(self[i])` over the view's elements in row-major
+    /// order (`out.len() == volume`): one zip loop when the view is
+    /// contiguous, the row-run traversal otherwise.
+    pub(crate) fn map_into(&self, out: &mut [f32], f: impl Fn(f32) -> f32) {
+        if let Some(src) = self.as_slice() {
+            return map_run(out, src, 0, 1, f);
+        }
+        if out.is_empty() {
+            return;
+        }
+        let (outer, n, stride) = split_inner(self.dims(), &self.strides);
+        let mut rows = out.chunks_exact_mut(n);
+        for_each_run(outer, [&self.strides], |[off]| {
+            let row = rows.next().expect("one output row per run");
+            map_run(row, self.data, off, stride, &f);
+        });
+    }
+
     /// Materializes the view into an owned dense tensor.
     pub fn to_tensor(&self) -> Tensor {
-        if let Some(s) = self.as_slice() {
-            crate::alloc_stats::record_alloc();
-            return Tensor::from_data(self.shape.clone(), self.dtype, s.to_vec())
-                .expect("contiguous view volume matches");
-        }
-        let volume = self.volume();
-        let dec = self.shape.strides();
         crate::alloc_stats::record_alloc();
-        let mut out = Vec::with_capacity(volume);
-        for lin in 0..volume {
-            let mut rem = lin;
-            let mut off = 0usize;
-            for (&d, &s) in dec.iter().zip(&self.strides) {
-                let i = rem / d.max(1);
-                rem %= d.max(1);
-                off += i * s;
-            }
-            out.push(self.data[off]);
-        }
+        let mut out = vec![0.0; self.volume()];
+        self.map_into(&mut out, |v| v);
         Tensor::from_data(self.shape.clone(), self.dtype, out).expect("view volume matches")
     }
 }
@@ -215,7 +310,7 @@ pub struct TensorViewMut<'a> {
     /// View shape.
     shape: Shape,
     /// Strides into `data` (elements), one per view dimension.
-    strides: Vec<usize>,
+    strides: InlineVec<usize>,
     _owner: std::marker::PhantomData<&'a mut [f32]>,
 }
 
@@ -239,13 +334,13 @@ impl<'a> TensorViewMut<'a> {
         data: *mut f32,
         len: usize,
         shape: Shape,
-        strides: Vec<usize>,
+        strides: &[usize],
     ) -> Self {
         TensorViewMut {
             data,
             len,
             shape,
-            strides,
+            strides: strides.iter().copied().collect(),
             _owner: std::marker::PhantomData,
         }
     }
@@ -272,7 +367,7 @@ impl<'a> TensorViewMut<'a> {
     /// dense suffix of the view's axes — which are copied
     /// slice-to-slice; this is the executor's output scatter.
     pub fn copy_from_dense(&mut self, src: &[f32]) -> Result<()> {
-        let dims = self.shape.dims().to_vec();
+        let dims = self.shape.dims();
         let volume = self.volume();
         if src.len() != volume {
             return Err(TensorError::InvalidShape(format!(
@@ -295,31 +390,19 @@ impl<'a> TensorViewMut<'a> {
             run *= dims[ax];
             split -= 1;
         }
-        let n_outer: usize = dims[..split].iter().product();
-        let mut idx = vec![0usize; split];
-        for block in 0..n_outer {
-            let mut rem = block;
-            for (i, &d) in dims[..split].iter().enumerate().rev() {
-                idx[i] = rem % d;
-                rem /= d;
-            }
-            let off: usize = idx
-                .iter()
-                .zip(&self.strides[..split])
-                .map(|(&i, &s)| i * s)
-                .sum();
-            debug_assert!(off + run <= self.len, "run escapes the view's storage");
-            // SAFETY: offsets produced by the view's strides address
-            // within `len` (constructor contract), and `src` cannot
-            // overlap the exclusively-held destination.
+        let (data, len) = (self.data, self.len);
+        let mut runs = src.chunks_exact(run);
+        for_each_run(&dims[..split], [&self.strides], |[off]| {
+            let chunk = runs.next().expect("one source run per destination run");
+            assert!(off + run <= len, "run escapes the view's storage");
+            // SAFETY: `off + run <= len` was just checked and
+            // `data .. data + len` is valid for writes (constructor
+            // contract); `src` cannot overlap the exclusively-held
+            // destination.
             unsafe {
-                std::ptr::copy_nonoverlapping(
-                    src.as_ptr().add(block * run),
-                    self.data.add(off),
-                    run,
-                );
+                std::ptr::copy_nonoverlapping(chunk.as_ptr(), data.add(off), run);
             }
-        }
+        });
         Ok(())
     }
 }
@@ -364,7 +447,7 @@ impl Tensor {
         let len = data.len();
         // SAFETY: the view borrows `self` mutably for its lifetime, so
         // it is the only handle on the storage.
-        unsafe { TensorViewMut::from_raw_parts(data.as_mut_ptr(), len, shape, strides) }
+        unsafe { TensorViewMut::from_raw_parts(data.as_mut_ptr(), len, shape, &strides) }
     }
 }
 
@@ -432,13 +515,12 @@ mod tests {
         let base = x.data_mut().as_mut_ptr();
         // SAFETY: the left region [0..4, 0..2) is in bounds and `x` is
         // not otherwise touched while the views live.
-        let mut left = unsafe {
-            TensorViewMut::from_raw_parts(base, len, Shape::new(vec![4, 2]), strides.clone())
-        };
+        let mut left =
+            unsafe { TensorViewMut::from_raw_parts(base, len, Shape::new(vec![4, 2]), &strides) };
         // SAFETY: the right region [0..4, 2..4) is in bounds and disjoint
         // from `left`.
         let mut right = unsafe {
-            TensorViewMut::from_raw_parts(base.add(2), len - 2, Shape::new(vec![4, 2]), strides)
+            TensorViewMut::from_raw_parts(base.add(2), len - 2, Shape::new(vec![4, 2]), &strides)
         };
         left.copy_from_dense(&[1.0; 8]).unwrap();
         right.copy_from_dense(&[2.0; 8]).unwrap();
@@ -467,7 +549,7 @@ mod tests {
         // SAFETY: the slab starts at row 1 and stays in bounds; `x` is
         // not otherwise touched while the view lives.
         let mut rows = unsafe {
-            TensorViewMut::from_raw_parts(base.add(3), len - 3, Shape::new(vec![2, 3]), strides)
+            TensorViewMut::from_raw_parts(base.add(3), len - 3, Shape::new(vec![2, 3]), &strides)
         };
         rows.copy_from_dense(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
             .unwrap();
