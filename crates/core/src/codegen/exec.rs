@@ -249,7 +249,7 @@ fn output_slots(graph: &Graph) -> Vec<OutputSlot> {
             OutputSlot::new(
                 o,
                 graph.value(o).name.clone(),
-                Tensor::zeros(graph.shape(o).clone(), graph.dtype()),
+                Tensor::zeros(*graph.shape(o), graph.dtype()),
             )
         })
         .collect()
@@ -276,7 +276,7 @@ fn bound<'e>(kp: &KernelProgram, env: &'e Env, v: ValueId) -> Result<TensorView<
         // The binding was materialized upstream of a layout barrier
         // and carries the producing kernel's layout; view it under
         // this segment's declared shape before extracting the tile.
-        Ok(full.view_reshaped(value.shape.clone())?)
+        Ok(full.view_reshaped(value.shape)?)
     }
 }
 
@@ -567,6 +567,7 @@ impl ExecEngine {
         faults: Option<&FaultInjector>,
     ) -> Result<()> {
         let partitions = tiles.partitions;
+        let sliced = sliced_reductions(kp)?;
         let launch = Launch::new(kp, env);
         let items = blocks.len() * partitions;
         let partials: Vec<PartialSlot> = (0..items).map(|_| PartialSlot::default()).collect();
@@ -618,7 +619,7 @@ impl ExecEngine {
                         worker.vals = state;
                     } else {
                         worker.part = state;
-                        combine_partition_states(kp, worker)?;
+                        combine_partition_states(&kp.graph, sliced, &tiles.uta_deps, worker)?;
                     }
                 }
                 finish_block(&launch, &blocks[bi], worker)
@@ -713,7 +714,9 @@ fn execute_block(launch: &Launch, spatial: &Restrict, worker: &mut Worker) -> Re
                 phase1_partition(launch, tiles, vals, prev, spatial, pool, p)?;
             } else {
                 phase1_partition(launch, tiles, part, prev, spatial, pool, p)?;
-                combine_partition_states(launch.kp, worker)?;
+                let kp = launch.kp;
+                let sliced = sliced_reductions(kp)?;
+                combine_partition_states(&kp.graph, sliced, &tiles.uta_deps, worker)?;
             }
         }
     }
@@ -741,10 +744,9 @@ fn phase1_partition(
     let sliced = sliced_reductions(kp)?;
     let (tile_lo, tile_hi) = tiles.partition_tiles(p);
 
-    // `prev` double-buffers the pre-tile values of the UTA update-factor
-    // dependencies (`tiles.uta_deps`): they are moved out of `vals` at
-    // re-aggregation time, replacing the old whole-map `accs.clone()`
-    // snapshot per tile.
+    // `prev` holds the pre-tile values of the UTA update-factor
+    // dependencies (`tiles.uta_deps`) while later reductions of the same
+    // tile rescale against them.
     for tile in tile_lo..tile_hi {
         let restrict = tiles.tile_restrict(spatial, tile);
         recycle(kp, prev, Some(Section::Acc), pool);
@@ -758,37 +760,49 @@ fn phase1_partition(
                 Step::Reduce { op: oi, idx } => {
                     let partial =
                         eval_sliced_partial(launch, vals, oi, tiles.dim, &restrict, pool)?;
-                    let combined = match vals[out.0].take() {
-                        None => partial,
-                        Some(old) => {
-                            let combined = match &sliced[idx].agg {
-                                AggKind::Simple => combine(graph, oi, &old, &partial, pool)?,
-                                AggKind::Uta(factors) => {
-                                    let updated =
-                                        apply_update(graph, &old, factors, prev, vals, pool)?;
-                                    let combined = combine(graph, oi, &updated, &partial, pool)?;
-                                    pool.recycle_tensor(updated);
-                                    combined
-                                }
-                            };
-                            pool.recycle_tensor(partial);
-                            // Later UTA updates in this tile read the
-                            // dependency's pre-tile value from `prev`.
-                            if tiles.uta_deps.contains(&out) {
-                                prev[out.0] = Some(old);
-                            } else {
-                                pool.recycle_tensor(old);
-                            }
-                            combined
-                        }
-                    };
-                    vals[out.0] = Some(combined);
+                    if vals[out.0].is_none() {
+                        vals[out.0] = Some(partial);
+                        continue;
+                    }
+                    let keep_old = tiles.uta_deps.contains(&out);
+                    fold(graph, &sliced[idx], keep_old, vals, prev, &partial, pool)?;
+                    pool.recycle_tensor(partial);
                 }
             }
         }
         recycle(kp, vals, Some(Section::Tile), pool);
     }
     recycle(kp, prev, Some(Section::Acc), pool);
+    Ok(())
+}
+
+/// Folds `partial` — a tile partial, or a partition's state rescaled to
+/// the combined dependency values — into the running aggregate of `sl`
+/// in `vals`: `acc = ((acc·g₁)·g₂…) ⊕ partial`, each `g` against the
+/// dependency values in `prev` (old) and `vals` (new), written into the
+/// aggregate itself. With `keep_old` — later reductions read the
+/// aggregate's pre-fold value — that value moves to `prev` and the fold
+/// goes to a pooled copy.
+fn fold(
+    graph: &Graph,
+    sl: &SlicedReduction,
+    keep_old: bool,
+    vals: &mut [Option<Tensor>],
+    prev: &mut [Option<Tensor>],
+    partial: &Tensor,
+    pool: &mut ScratchPool,
+) -> Result<()> {
+    let out = graph.ops()[sl.op.0].output;
+    let mut acc = vals[out.0]
+        .take()
+        .ok_or_else(|| SfError::Codegen("running aggregate missing".into()))?;
+    if keep_old {
+        let copy = viewed::unary(UnaryOp::Identity, &acc.view(), pool);
+        prev[out.0] = Some(std::mem::replace(&mut acc, copy));
+    }
+    rescale(graph, &mut acc, &sl.agg, prev, vals)?;
+    viewed::binary_in_place(merge_op(graph, sl.op.0), &mut acc, &partial.view())?;
+    vals[out.0] = Some(acc);
     Ok(())
 }
 
@@ -799,46 +813,53 @@ fn phase1_partition(
 ///
 /// Walks the sliced reductions in plan (topological) order, replacing
 /// each left aggregate by the combined one and keeping the replaced
-/// value in `worker.prev`: a Simple aggregate merges directly with its
+/// value in `worker.prev` when it is one of `uta_deps` (later factors
+/// read it): a Simple aggregate merges directly with its
 /// combine operator; a UTA partial first rescales **both** sides by the
 /// update factors evaluated against the already-combined dependency
 /// values (the serial tile loop only updates its old side because a
 /// fresh tile partial is already expressed against the current factor
 /// values — a partition's state is not). For attention this computes the
 /// FlashDecoding fixup `o = o_a·(s_a/s)·e^(m_a−m) + o_b·(s_b/s)·e^(m_b−m)`.
-fn combine_partition_states(kp: &KernelProgram, worker: &mut Worker) -> Result<()> {
-    let graph = &kp.graph;
+fn combine_partition_states(
+    graph: &Graph,
+    sliced: &[SlicedReduction],
+    uta_deps: &[ValueId],
+    worker: &mut Worker,
+) -> Result<()> {
     let Worker {
         pool,
         vals: combined,
         prev: left,
         part: right,
     } = worker;
-    for sl in sliced_reductions(kp)? {
+    for sl in sliced {
         let out = graph.ops()[sl.op.0].output;
-        let (l, r) = match (combined[out.0].take(), &right[out.0]) {
-            (Some(l), Some(r)) => (l, r),
-            _ => return Err(SfError::Codegen("partition state missing aggregate".into())),
-        };
-        let merged = match &sl.agg {
-            AggKind::Simple => combine(graph, sl.op.0, &l, r, pool)?,
-            AggKind::Uta(factors) => {
-                // Dependencies precede this reduction in plan order, so
-                // `combined` already holds their folded values and
-                // `left` their pre-fold ones.
-                let l_upd = apply_update(graph, &l, factors, left, combined, pool)?;
-                let r_upd = apply_update(graph, r, factors, right, combined, pool)?;
-                let merged = combine(graph, sl.op.0, &l_upd, &r_upd, pool)?;
-                pool.recycle_tensor(l_upd);
-                pool.recycle_tensor(r_upd);
-                merged
-            }
-        };
-        left[out.0] = Some(l);
-        combined[out.0] = Some(merged);
+        let r = right[out.0]
+            .as_ref()
+            .ok_or_else(|| SfError::Codegen("partition state missing aggregate".into()))?;
+        // Dependencies precede this reduction in plan order, so
+        // `combined` already holds their folded values and `left` /
+        // `right` their pre-fold ones: a UTA state is rescaled as a copy.
+        let mut r_upd = matches!(sl.agg, AggKind::Uta(_))
+            .then(|| viewed::unary(UnaryOp::Identity, &r.view(), pool));
+        if let Some(copy) = &mut r_upd {
+            rescale(graph, copy, &sl.agg, right, combined)?;
+        }
+        let r = r_upd.as_ref().unwrap_or(r);
+        fold(graph, sl, uta_deps.contains(&out), combined, left, r, pool)?;
+        if let Some(copy) = r_upd {
+            pool.recycle_tensor(copy);
+        }
     }
-    recycle(kp, left, Some(Section::Acc), pool);
-    recycle(kp, right, Some(Section::Acc), pool);
+    // Both hold aggregates only.
+    for tensor in left
+        .iter_mut()
+        .chain(right.iter_mut())
+        .filter_map(Option::take)
+    {
+        pool.recycle_tensor(tensor);
+    }
     Ok(())
 }
 
@@ -1004,67 +1025,290 @@ fn eval_sliced_partial(
     }
 }
 
-/// Combines an (updated) accumulator with a tile partial.
-fn combine(
-    graph: &Graph,
-    op_idx: usize,
-    acc: &Tensor,
-    partial: &Tensor,
-    pool: &mut ScratchPool,
-) -> Result<Tensor> {
-    let op = &graph.ops()[op_idx];
-    let b = match &op.kind {
+/// The operator merging two partial aggregates of reduction `op_idx`.
+fn merge_op(graph: &Graph, op_idx: usize) -> BinaryOp {
+    match graph.ops()[op_idx].kind {
         OpKind::Reduce {
             op: ReduceOp::Max, ..
         } => BinaryOp::Max,
         _ => BinaryOp::Add,
-    };
-    Ok(viewed::binary(b, &acc.view(), &partial.view(), pool)?)
+    }
 }
 
-/// Applies the UTA update function: multiplies the old accumulator by
-/// `Π g(dep_old, dep_new)`.
+/// Applies a UTA update in place: multiplies `acc` by `Π g(dep_old,
+/// dep_new)`, factor by factor, each `g` evaluated once per accumulator
+/// row (a Simple aggregate is left as is).
 ///
-/// `prev` holds the dependencies' pre-tile values (moved out of the
-/// value slots when the dependency re-aggregated this tile); `current`
-/// holds their freshly combined values.
-fn apply_update(
+/// `old` holds the dependencies' pre-update values, `new` their freshly
+/// combined ones.
+fn rescale(
     graph: &Graph,
-    old_acc: &Tensor,
-    factors: &[crate::slicer::UpdateFactor],
-    prev: &[Option<Tensor>],
-    current: &[Option<Tensor>],
-    pool: &mut ScratchPool,
-) -> Result<Tensor> {
-    let mut result: Option<Tensor> = None;
+    acc: &mut Tensor,
+    agg: &AggKind,
+    old: &[Option<Tensor>],
+    new: &[Option<Tensor>],
+) -> Result<()> {
+    let AggKind::Uta(factors) = agg else {
+        return Ok(());
+    };
     for f in factors {
-        let dep_out = graph.ops()[f.dep.0].output;
-        let old = prev[dep_out.0]
-            .as_ref()
-            .ok_or_else(|| SfError::Codegen("missing old dependency value".into()))?;
-        let new = current[dep_out.0]
-            .as_ref()
-            .ok_or_else(|| SfError::Codegen("missing new dependency value".into()))?;
-        let g = match f.form {
-            FactorForm::Recip => viewed::binary(BinaryOp::Div, &old.view(), &new.view(), pool)?,
-            FactorForm::ExpNeg => {
-                let diff = viewed::binary(BinaryOp::Sub, &old.view(), &new.view(), pool)?;
-                let exp = viewed::unary(UnaryOp::Exp, &diff.view(), pool);
-                pool.recycle_tensor(diff);
-                exp
-            }
-            FactorForm::Value => viewed::binary(BinaryOp::Div, &new.view(), &old.view(), pool)?,
+        let dep = graph.ops()[f.dep.0].output;
+        let (Some(old), Some(new)) = (&old[dep.0], &new[dep.0]) else {
+            return Err(SfError::Codegen("missing update dependency value".into()));
         };
-        let next = match result.take() {
-            None => viewed::binary(BinaryOp::Mul, &old_acc.view(), &g.view(), pool)?,
-            Some(r) => {
-                let m = viewed::binary(BinaryOp::Mul, &r.view(), &g.view(), pool)?;
-                pool.recycle_tensor(r);
-                m
-            }
+        let g: fn(f32, f32) -> f32 = match f.form {
+            FactorForm::Recip => |old, new| old / new,
+            FactorForm::ExpNeg => |old, new| (old - new).exp(),
+            FactorForm::Value => |old, new| new / old,
         };
-        pool.recycle_tensor(g);
-        result = Some(next);
+        viewed::fold_in_place(acc, &old.view(), &new.view(), g, |x, g| x * g)?;
     }
-    Ok(result.unwrap_or_else(|| old_acc.clone()))
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    //! Adversarial values through the in-place aggregate fold, checked
+    //! bit for bit against the out-of-place composition it replaced.
+
+    use super::*;
+    use crate::slicer::UpdateFactor;
+    use sf_ir::OpId;
+    use sf_tensor::rng::XorShiftRng;
+    use sf_tensor::DType;
+
+    const ROWS: usize = 6;
+    const COLS: usize = 5;
+
+    /// ±0, ±inf, NaNs (one with a payload), denormals, huge and
+    /// exp-overflowing magnitudes, and ordinary values.
+    fn special() -> [f32; 16] {
+        [
+            0.0,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0xffc0_1234),
+            1e-40,
+            -1e-40,
+            f32::MIN_POSITIVE,
+            3e38,
+            -3e38,
+            88.7,
+            -104.0,
+            1.0,
+            -0.5,
+            2.0,
+        ]
+    }
+
+    fn adversarial(rng: &mut XorShiftRng, dims: [usize; 2]) -> Tensor {
+        let data = (0..dims[0] * dims[1])
+            .map(|_| match rng.below(3) {
+                0 => rng.uniform(-4.0, 4.0),
+                _ => special()[rng.below(16) as usize],
+            })
+            .collect();
+        Tensor::from_data(Shape::new(dims.to_vec()), DType::F32, data).unwrap()
+    }
+
+    fn bits(t: &Option<Tensor>) -> Option<(Vec<usize>, Vec<u32>)> {
+        t.as_ref().map(|t| {
+            let data = t.data().iter().map(|v| v.to_bits()).collect();
+            (t.shape().dims().to_vec(), data)
+        })
+    }
+
+    /// `m` = row max (Simple Max, a dependency), `s` = row sum rescaled
+    /// by `exp(m_old − m_new)` (a dependency), `o` = a GEMM output
+    /// rescaled by `(s_old/s_new)·exp(m_old − m_new)`, `n` a row sum
+    /// rescaled by `s_new/s_old`, `t` a plain row sum.
+    fn reductions() -> (Graph, Vec<SlicedReduction>, Vec<bool>) {
+        let mut g = Graph::new("fold", DType::F32);
+        let x = g.input("x", Shape::new(vec![ROWS, 8]));
+        let q = g.input("q", Shape::new(vec![ROWS, 8]));
+        let v = g.input("v", Shape::new(vec![8, COLS]));
+        let m = g.reduce(ReduceOp::Max, x, 1).unwrap();
+        let s = g.reduce(ReduceOp::Sum, x, 1).unwrap();
+        let o = g.gemm(q, v, false).unwrap();
+        let n = g.reduce(ReduceOp::Sum, x, 1).unwrap();
+        let t = g.reduce(ReduceOp::Sum, x, 1).unwrap();
+        for out in [m, s, o, n, t] {
+            g.mark_output(out);
+        }
+        let factor = |dep: usize, form| UpdateFactor {
+            dep: OpId(dep),
+            form,
+        };
+        let sliced = vec![
+            (0, AggKind::Simple),
+            (1, AggKind::Uta(vec![factor(0, FactorForm::ExpNeg)])),
+            (
+                2,
+                AggKind::Uta(vec![
+                    factor(1, FactorForm::Recip),
+                    factor(0, FactorForm::ExpNeg),
+                ]),
+            ),
+            (3, AggKind::Uta(vec![factor(1, FactorForm::Value)])),
+            (4, AggKind::Simple),
+        ]
+        .into_iter()
+        .map(|(op, agg)| SlicedReduction { op: OpId(op), agg })
+        .collect();
+        (g, sliced, vec![true, true, false, false, false])
+    }
+
+    fn dims(graph: &Graph, sl: &SlicedReduction) -> [usize; 2] {
+        match graph.ops()[sl.op.0].kind {
+            OpKind::Gemm { .. } => [ROWS, COLS],
+            _ => [ROWS, 1],
+        }
+    }
+
+    /// The replaced `apply_update`: `acc · Π g(old, new)`, one pooled
+    /// tensor per operation.
+    fn reference_update(
+        graph: &Graph,
+        acc: &Tensor,
+        agg: &AggKind,
+        old: &[Option<Tensor>],
+        new: &[Option<Tensor>],
+        pool: &mut ScratchPool,
+    ) -> Tensor {
+        let mut result = viewed::unary(UnaryOp::Identity, &acc.view(), pool);
+        let AggKind::Uta(factors) = agg else {
+            return result;
+        };
+        for f in factors {
+            let dep = graph.ops()[f.dep.0].output;
+            let (old, new) = (old[dep.0].as_ref().unwrap(), new[dep.0].as_ref().unwrap());
+            let (old, new) = (old.view(), new.view());
+            let g = match f.form {
+                FactorForm::Recip => viewed::binary(BinaryOp::Div, &old, &new, pool),
+                FactorForm::ExpNeg => viewed::binary(BinaryOp::Sub, &old, &new, pool)
+                    .map(|d| viewed::unary(UnaryOp::Exp, &d.view(), pool)),
+                FactorForm::Value => viewed::binary(BinaryOp::Div, &new, &old, pool),
+            }
+            .unwrap();
+            result = viewed::binary(BinaryOp::Mul, &result.view(), &g.view(), pool).unwrap();
+        }
+        result
+    }
+
+    /// The replaced `combine`.
+    fn reference_merge(graph: &Graph, op: OpId, a: &Tensor, b: &Tensor) -> Tensor {
+        let mut pool = ScratchPool::disabled();
+        viewed::binary(merge_op(graph, op.0), &a.view(), &b.view(), &mut pool).unwrap()
+    }
+
+    #[test]
+    fn tile_fold_matches_the_out_of_place_composition_bit_for_bit() {
+        let (graph, sliced, deps) = reductions();
+        let n_vals = graph.values().len();
+        let mut pool = ScratchPool::new();
+        for seed in 0..64 {
+            let mut rng = XorShiftRng::seed_from_u64(seed);
+            let (mut vals, mut prev): (Slots, Slots) = (vec![None; n_vals], vec![None; n_vals]);
+            let (mut want, mut want_prev): (Slots, Slots) =
+                (vec![None; n_vals], vec![None; n_vals]);
+            for tile in 0..4 {
+                prev.iter_mut().for_each(|p| *p = None);
+                want_prev.iter_mut().for_each(|p| *p = None);
+                for (sl, &keep_old) in sliced.iter().zip(&deps) {
+                    let out = graph.ops()[sl.op.0].output;
+                    let mut partial = adversarial(&mut rng, dims(&graph, sl));
+                    if sl.op.0 == 0 && tile > 0 && seed % 2 == 0 {
+                        // Fully masked rows: old and new maxima both −inf.
+                        partial.data_mut()[..2].fill(f32::NEG_INFINITY);
+                        if let Some(m) = vals[out.0].as_mut() {
+                            m.data_mut()[..2].fill(f32::NEG_INFINITY);
+                            want[out.0].as_mut().unwrap().data_mut()[..2].fill(f32::NEG_INFINITY);
+                        }
+                    }
+                    let expect = match want[out.0].take() {
+                        None => viewed::unary(UnaryOp::Identity, &partial.view(), &mut pool),
+                        Some(old) => {
+                            let updated = reference_update(
+                                &graph, &old, &sl.agg, &want_prev, &want, &mut pool,
+                            );
+                            let merged = reference_merge(&graph, sl.op, &updated, &partial);
+                            if keep_old {
+                                want_prev[out.0] = Some(old);
+                            }
+                            merged
+                        }
+                    };
+                    want[out.0] = Some(expect);
+                    if vals[out.0].is_none() {
+                        vals[out.0] = Some(partial);
+                    } else {
+                        fold(
+                            &graph, sl, keep_old, &mut vals, &mut prev, &partial, &mut pool,
+                        )
+                        .unwrap();
+                    }
+                    assert_eq!(
+                        bits(&vals[out.0]),
+                        bits(&want[out.0]),
+                        "seed {seed} tile {tile} op {}",
+                        sl.op.0
+                    );
+                    assert_eq!(bits(&prev[out.0]), bits(&want_prev[out.0]));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn partition_fold_matches_the_out_of_place_composition_bit_for_bit() {
+        let (graph, sliced, deps) = reductions();
+        let n_vals = graph.values().len();
+        let uta_deps: Vec<ValueId> = (sliced.iter().zip(&deps))
+            .filter(|&(_, &dep)| dep)
+            .map(|(sl, _)| graph.ops()[sl.op.0].output)
+            .collect();
+        let mut pool = ScratchPool::new();
+        for seed in 0..64 {
+            let mut rng = XorShiftRng::seed_from_u64(1000 + seed);
+            let mut state = || -> Slots {
+                let mut slots = vec![None; n_vals];
+                for sl in &sliced {
+                    let out = graph.ops()[sl.op.0].output;
+                    slots[out.0] = Some(adversarial(&mut rng, dims(&graph, sl)));
+                }
+                slots
+            };
+            let (mut combined, mut right) = (state(), state());
+            if seed % 2 == 0 {
+                // Fully masked rows: both sides' maxima are −inf.
+                let m = graph.ops()[0].output;
+                for side in [&mut combined, &mut right] {
+                    side[m.0].as_mut().unwrap().data_mut()[..2].fill(f32::NEG_INFINITY);
+                }
+            }
+            let mut want = combined.clone();
+            let mut want_left: Slots = vec![None; n_vals];
+            for sl in &sliced {
+                let out = graph.ops()[sl.op.0].output;
+                let l = want[out.0].take().unwrap();
+                let r = right[out.0].as_ref().unwrap();
+                let l_upd = reference_update(&graph, &l, &sl.agg, &want_left, &want, &mut pool);
+                let r_upd = reference_update(&graph, r, &sl.agg, &right, &want, &mut pool);
+                want[out.0] = Some(reference_merge(&graph, sl.op, &l_upd, &r_upd));
+                want_left[out.0] = Some(l);
+            }
+            let mut worker = Worker {
+                pool: &mut pool,
+                vals: combined,
+                prev: vec![None; n_vals],
+                part: right,
+            };
+            combine_partition_states(&graph, &sliced, &uta_deps, &mut worker).unwrap();
+            for (got, want) in worker.vals.iter().zip(&want) {
+                assert_eq!(bits(got), bits(want), "seed {seed}");
+            }
+        }
+    }
 }

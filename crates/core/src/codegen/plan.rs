@@ -181,7 +181,7 @@ impl TileLoop {
     /// `spatial`.
     pub(crate) fn tile_restrict(&self, spatial: &Restrict, tile: usize) -> Restrict {
         let start = tile * self.tile;
-        let mut restrict = spatial.clone();
+        let mut restrict = *spatial;
         restrict.push((self.dim, (start, (start + self.tile).min(self.extent))));
         restrict
     }
@@ -362,7 +362,9 @@ impl KernelPlan {
                 .map(|&(rd, _)| rd)
                 .chain(s.temporal.as_ref().map(|t| t.plan.dim))
                 .position(|rd| rd == d)?;
-            Some(u8::try_from(slot).expect("a schedule restricts a handful of dimensions"))
+            // Below `MAX_RANK`: the slicer skips candidates restricting
+            // more dimensions.
+            Some(slot as u8)
         };
         let mut axis_off = Vec::with_capacity(n_vals + 1);
         let n_axes = graph.values().iter().map(|v| v.shape.rank().max(1)).sum();
@@ -490,4 +492,26 @@ fn needed_by(graph: &Graph, targets: &[ValueId]) -> Vec<bool> {
         }
     }
     needed_ops
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{Ranges, Restrict};
+    use sf_tensor::{Shape, TensorView};
+    use std::mem::{needs_drop, size_of};
+
+    /// `Copy` and free of drop glue: what the executor builds per tile.
+    const fn plain<T: Copy>() -> bool {
+        !needs_drop::<T>()
+    }
+
+    #[test]
+    fn tile_geometry_is_copy_without_drop_glue() {
+        // Checked at compile time: per-tile geometry stays plain data,
+        // and a shape stays five words (every cached program holds its
+        // shapes).
+        const _: () = assert!(plain::<Shape>() && plain::<TensorView<'static>>());
+        const _: () = assert!(plain::<Restrict>() && plain::<Ranges>());
+        const _: () = assert!(size_of::<Shape>() == 40);
+    }
 }

@@ -340,7 +340,7 @@ impl CompiledProgram {
                 t
             } else {
                 // The declared output sits behind a layout barrier.
-                Tensor::from_data(shape.clone(), t.dtype(), t.into_data())?
+                Tensor::from_data(*shape, t.dtype(), t.into_data())?
             });
         }
         Ok(outs)
@@ -432,7 +432,7 @@ fn reference_kernel(k: &KernelProgram, env: &mut Env) -> Result<()> {
         let t = if t.shape() == &v.shape {
             t.clone()
         } else {
-            t.reshape(v.shape.clone())?
+            t.reshape(v.shape)?
         };
         bindings.insert(v.name.clone(), t);
     }

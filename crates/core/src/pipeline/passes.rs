@@ -192,7 +192,7 @@ impl Pass for EmitPass {
             .outputs()
             .iter()
             .map(|&v| {
-                let shape = state.graph.shape(v).clone();
+                let shape = *state.graph.shape(v);
                 let mut src = v;
                 while let Some(op) = state.graph.producer(src) {
                     if matches!(op.kind, OpKind::LayoutBarrier) {
@@ -840,7 +840,9 @@ impl Scheduler<'_, '_> {
     ) -> Result<KernelProgram> {
         let smg = build_smg(&g)?;
         let dims = eligible_spatial_dims(&g, &smg);
-        if dims.len() != cfg.spatial.len() {
+        if dims.len() != cfg.spatial.len()
+            || dims.len() + usize::from(cfg.temporal.is_some()) > sf_tensor::MAX_RANK
+        {
             return Err(SfError::Codegen("cache shape drift".into()));
         }
         let spatial: Vec<_> = dims.into_iter().zip(cfg.spatial.iter().copied()).collect();

@@ -87,8 +87,8 @@ pub fn streaming_variance(graph: &Graph) -> Option<Graph> {
         }
         let info = graph.value(v);
         let id = match info.kind {
-            sf_ir::ValueKind::Weight => g.weight(info.name.clone(), info.shape.clone()),
-            _ => g.input(info.name.clone(), info.shape.clone()),
+            sf_ir::ValueKind::Weight => g.weight(info.name.clone(), info.shape),
+            _ => g.input(info.name.clone(), info.shape),
         };
         map[v.0] = Some(id);
         id

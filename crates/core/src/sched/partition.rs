@@ -79,8 +79,8 @@ pub fn extract_ops(graph: &Graph, start: usize, end: usize, name: &str) -> Resul
                 None => {
                     let info = graph.value(raw);
                     let id = match info.kind {
-                        ValueKind::Weight => sub.weight(info.name.clone(), info.shape.clone()),
-                        _ => sub.input(info.name.clone(), info.shape.clone()),
+                        ValueKind::Weight => sub.weight(info.name.clone(), info.shape),
+                        _ => sub.input(info.name.clone(), info.shape),
                     };
                     map[raw.0] = Some(id);
                     id

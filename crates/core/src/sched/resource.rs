@@ -10,6 +10,7 @@ use crate::slicer::{
 use crate::smg::{DimId, Smg};
 use sf_gpu_sim::GpuArch;
 use sf_ir::Graph;
+use sf_tensor::MAX_RANK;
 
 /// Options controlling the slicing process (also used to model the
 /// baseline systems' restricted capabilities and the ablation variants).
@@ -165,8 +166,14 @@ pub fn resource_aware_slicing(
     // inter-block parallelism. This extends Algorithm 1 to the decode-
     // style shapes where every non-batch dimension carries a reduction.
     let spatial_dims = eligible_spatial_dims(graph, smg);
+    // A block restricts every spatial dimension and a tile one more, in
+    // at most `MAX_RANK` inline entries: skip candidates exceeding that.
+    if spatial_dims.len() > MAX_RANK {
+        let why = format!("'{}': over {MAX_RANK} spatial dims", graph.name());
+        return Err(SfError::ResourceInfeasible(why));
+    }
 
-    let temporal_plan = if opts.enable_temporal {
+    let temporal_plan = if opts.enable_temporal && spatial_dims.len() < MAX_RANK {
         find_temporal_plan(graph, smg, &spatial_dims, opts)
     } else {
         None
@@ -409,6 +416,51 @@ mod tests {
             resource_aware_slicing(&g, &smg, &GpuArch::ampere(), &SlicingOptions::default())
                 .unwrap();
         assert!(schedules.iter().all(|s| s.grid() == 1));
+    }
+
+    #[test]
+    fn candidates_restricting_more_than_max_rank_dims_are_skipped() {
+        // `chains` independent row-reduce chains: two spatially sliceable
+        // dimensions each, plus the reduced ones.
+        let wide = |chains: usize| {
+            let mut g = Graph::new("wide", DType::F32);
+            for i in 0..chains {
+                let x = g.input(format!("x{i}"), Shape::new(vec![8 + i, 4, 16]));
+                let s = g.reduce(ReduceOp::Sum, x, 2).unwrap();
+                g.mark_output(s);
+            }
+            g
+        };
+        let slice = |g: &Graph| {
+            let smg = build_smg(g).unwrap();
+            resource_aware_slicing(g, &smg, &GpuArch::ampere(), &SlicingOptions::default())
+        };
+        // Four spatial dimensions fit a block but leave no room for a tile.
+        let four = slice(&wide(2)).unwrap();
+        assert!(four
+            .iter()
+            .all(|s| s.spatial.len() == 4 && s.temporal.is_none()));
+        // Six do not fit: the caller partitions, and the pieces compile
+        // and execute bit-identically to the reference.
+        assert!(matches!(
+            slice(&wide(3)),
+            Err(SfError::ResourceInfeasible(_))
+        ));
+        let g = wide(3);
+        let program = crate::compiler::Compiler::with_policy(
+            sf_gpu_sim::Arch::Ampere,
+            crate::compiler::FusionPolicy::SpaceFusion,
+        )
+        .compile(&g)
+        .unwrap();
+        let bindings = g.random_bindings(3);
+        let (got, want) = (
+            program.execute(&bindings).unwrap(),
+            g.execute(&bindings).unwrap(),
+        );
+        for (got, want) in got.iter().zip(&want) {
+            sf_tensor::assert_tensors_bitwise("wide", got, want);
+        }
     }
 
     #[test]

@@ -114,13 +114,6 @@ impl FusedSchedule {
         }
     }
 
-    /// Per-block footprint of one value under this schedule's
-    /// restrictions.
-    pub fn value_footprint(&self, graph: &Graph, v: ValueId) -> u64 {
-        self.smg
-            .block_footprint(graph, v, &self.block_restrictions())
-    }
-
     /// Shared-memory bytes per block (liveness-aware maximum).
     pub fn smem_per_block(&self, graph: &Graph) -> u64 {
         super::memory::smem_per_block(graph, self)

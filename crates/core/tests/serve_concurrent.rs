@@ -219,6 +219,34 @@ fn seeded_mid_compile_panic_degrades_and_leaves_no_poison() {
     }
 }
 
+#[test]
+fn rank_above_the_limit_is_an_error_response_and_the_core_keeps_serving() {
+    let core = ServeCore::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let rank5 = "graph r5 f32\ninput x [2, 2, 2, 2, 2]\ny = relu x\noutput y\n";
+    match core.submit(CompileRequest {
+        id: 5,
+        graph: rank5.into(),
+        ..CompileRequest::default()
+    }) {
+        Response::Error { id, message } => {
+            assert_eq!(id, 5);
+            assert!(
+                message.contains("rank 5 exceeds the limit of 4"),
+                "{message}"
+            );
+        }
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    let ok = core.submit(zoo().remove(0));
+    assert!(matches!(ok, Response::Ok(_)), "{ok:?}");
+    let stats = core.shutdown().unwrap();
+    assert_eq!((stats.errors, stats.ok), (1, 1));
+}
+
 #[cfg(unix)]
 #[test]
 fn unix_socket_round_trip() {

@@ -21,7 +21,7 @@
 
 use crate::graph::{Graph, OpKind, ValueId, ValueKind};
 use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
-use sf_tensor::{DType, Shape};
+use sf_tensor::{DType, Shape, MAX_RANK};
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -147,6 +147,10 @@ fn parse_shape(tokens: &[&str], line: usize) -> Result<Shape, ParseError> {
     let dims = dims.map_err(|_| err(line, "shape dimensions must be integers"))?;
     if dims.is_empty() {
         return Err(err(line, "shape needs at least one dimension"));
+    }
+    if dims.len() > MAX_RANK {
+        let message = format!("rank {} exceeds the limit of {MAX_RANK}", dims.len());
+        return Err(err(line, message));
     }
     Ok(Shape::new(dims))
 }
@@ -463,6 +467,15 @@ output r
         assert!(parse_graph("graph t f99\n").is_err());
         assert!(parse_graph("graph t f32\ninput x 4x4\noutput x\n").is_err());
         assert!(parse_graph("graph t f32\ninput x [a, b]\noutput x\n").is_err());
+    }
+
+    #[test]
+    fn rank_above_the_limit_is_a_parse_error() {
+        let ok = parse_graph("graph t f32\ninput x [1, 2, 3, 4]\noutput x\n").unwrap();
+        assert_eq!(ok.shape(ValueId(0)).rank(), MAX_RANK);
+        let e = parse_graph("graph t f32\ninput x [1, 2, 3, 4, 5]\noutput x\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("rank 5 exceeds the limit of 4"), "{e}");
     }
 
     #[test]

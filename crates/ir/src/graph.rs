@@ -277,7 +277,7 @@ impl Graph {
     ) -> Result<ValueId, GraphError> {
         self.check(a)?;
         self.check(b)?;
-        let (sa, sb) = (self.shape(a).clone(), self.shape(b).clone());
+        let (sa, sb) = (*self.shape(a), *self.shape(b));
         if sa.rank() != 2 || sb.rank() != 2 {
             return Err(GraphError::ShapeMismatch(format!(
                 "gemm requires rank-2 operands, got {sa} and {sb}"
@@ -304,7 +304,7 @@ impl Graph {
     /// Adds an element-wise unary node.
     pub fn unary(&mut self, op: UnaryOp, x: ValueId) -> Result<ValueId, GraphError> {
         self.check(x)?;
-        let shape = self.shape(x).clone();
+        let shape = *self.shape(x);
         Ok(self.push_op(OpKind::Unary(op), vec![x], shape))
     }
 
@@ -322,14 +322,14 @@ impl Graph {
     /// Adds an `x op constant` node.
     pub fn scalar(&mut self, op: BinaryOp, x: ValueId, value: f32) -> Result<ValueId, GraphError> {
         self.check(x)?;
-        let shape = self.shape(x).clone();
+        let shape = *self.shape(x);
         Ok(self.push_op(OpKind::Scalar { op, value }, vec![x], shape))
     }
 
     /// Adds a reduction along `dim` (kept with extent 1).
     pub fn reduce(&mut self, op: ReduceOp, x: ValueId, dim: usize) -> Result<ValueId, GraphError> {
         self.check(x)?;
-        let shape = self.shape(x).clone();
+        let shape = *self.shape(x);
         if dim >= shape.rank() {
             return Err(GraphError::ShapeMismatch(format!(
                 "reduce dim {dim} out of range for {shape}"
@@ -347,7 +347,7 @@ impl Graph {
         extent: usize,
     ) -> Result<ValueId, GraphError> {
         self.check(x)?;
-        let shape = self.shape(x).clone();
+        let shape = *self.shape(x);
         if dim >= shape.rank() || shape.dims()[dim] != 1 {
             return Err(GraphError::ShapeMismatch(format!(
                 "broadcast requires unit dim {dim} on {shape}"
@@ -379,13 +379,6 @@ impl Graph {
     /// Producer op of a value, if any (inputs/weights have none).
     pub fn producer(&self, id: ValueId) -> Option<&OpNode> {
         self.ops.iter().find(|op| op.output == id)
-    }
-
-    /// Producer op *identity* of a value, if any — the [`OpId`] form of
-    /// [`producer`](Graph::producer), for diagnostics that must reference
-    /// nodes by stable id rather than by borrow.
-    pub fn producer_id(&self, id: ValueId) -> Option<OpId> {
-        self.ops.iter().position(|op| op.output == id).map(OpId)
     }
 
     /// The op node behind an [`OpId`].
@@ -447,24 +440,13 @@ impl Graph {
                 OpKind::Broadcast { dim, extent } => {
                     ops::broadcast_to(&get(&op.inputs[0])?, *dim, *extent)?
                 }
-                OpKind::LayoutBarrier => {
-                    get(&op.inputs[0])?.reshape(self.shape(op.output).clone())?
-                }
+                OpKind::LayoutBarrier => get(&op.inputs[0])?.reshape(*self.shape(op.output))?,
             };
             env.insert(op.output, out);
         }
         self.outputs
             .iter()
             .map(|id| env.get(id).cloned().ok_or(GraphError::UnknownValue(*id)))
-            .collect()
-    }
-
-    /// Names of all input and weight values, in creation order.
-    pub fn binding_names(&self) -> Vec<String> {
-        self.values
-            .iter()
-            .filter(|v| matches!(v.kind, ValueKind::Input | ValueKind::Weight))
-            .map(|v| v.name.clone())
             .collect()
     }
 
@@ -555,7 +537,7 @@ impl Graph {
                 }
                 Shape::new(vec![sa.dims()[0], n])
             }
-            OpKind::Unary(_) | OpKind::Scalar { .. } => shape(0).clone(),
+            OpKind::Unary(_) | OpKind::Scalar { .. } => *shape(0),
             OpKind::Binary(_) => shape(0)
                 .broadcast_with(shape(1))
                 .map_err(|e| GraphError::ShapeMismatch(e.to_string()))?,
@@ -578,7 +560,7 @@ impl Graph {
                         out
                     )));
                 }
-                out.clone()
+                *out
             }
         })
     }
@@ -589,7 +571,7 @@ impl Graph {
         let mut s = seed;
         for v in &self.values {
             if matches!(v.kind, ValueKind::Input | ValueKind::Weight) {
-                out.insert(v.name.clone(), Tensor::random(v.shape.clone(), v.dtype, s));
+                out.insert(v.name.clone(), Tensor::random(v.shape, v.dtype, s));
                 s = s.wrapping_add(1);
             }
         }

@@ -66,7 +66,7 @@ pub fn segment(graph: &Graph) -> Result<Vec<Graph>, GraphError> {
             for &raw in &op.inputs {
                 // Resolve through layout barriers, but keep the *barrier
                 // output's* shape (the shape this segment observes).
-                let observed_shape = graph.shape(raw).clone();
+                let observed_shape = *graph.shape(raw);
                 let origin = *barrier_src.get(&raw).unwrap_or(&raw);
                 let key = raw;
                 let id = if let Some(&m) = map.get(&key) {
@@ -178,7 +178,7 @@ mod tests {
             .values()
             .iter()
             .find(|v| matches!(v.kind, ValueKind::Input))
-            .map(|v| v.shape.clone())
+            .map(|v| v.shape)
             .unwrap();
         assert_eq!(in_shape.dims(), &[8, 4]);
     }
@@ -200,7 +200,7 @@ mod tests {
             .unwrap();
         b1.insert(
             seg1_input.name.clone(),
-            out0[0].reshape(seg1_input.shape.clone()).unwrap(),
+            out0[0].reshape(seg1_input.shape).unwrap(),
         );
         let out1 = segs[1].execute(&b1).unwrap();
         assert!(out1[0].allclose(&full[0], 1e-5));

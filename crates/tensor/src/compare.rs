@@ -148,8 +148,8 @@ impl fmt::Display for Mismatch {
 pub fn compare_tensors(a: &Tensor, b: &Tensor, tol: Tolerance) -> Result<(), Mismatch> {
     if a.shape() != b.shape() {
         return Err(Mismatch::Shape {
-            got: a.shape().clone(),
-            want: b.shape().clone(),
+            got: *a.shape(),
+            want: *b.shape(),
         });
     }
     let mut worst: Option<Mismatch> = None;

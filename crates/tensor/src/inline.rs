@@ -1,22 +1,22 @@
-//! A small vector that stores up to [`INLINE`] elements without a heap
-//! allocation.
+//! A fixed-capacity vector of up to [`INLINE`] elements, stored inline.
 //!
 //! Shapes, strides, per-axis ranges and block restrictions are a
 //! handful of machine words each (every shipped workload is rank ≤ 2),
-//! but the executor builds them once per operand per tile. Keeping them
-//! inline is what makes `Tensor::view`, `TensorView::slice` and every
-//! operator's output shape allocation-free; longer lists spill to a
-//! `Vec`, so no rank is rejected.
+//! but the executor builds them once per operand per tile. Holding them
+//! in a `Copy` value with no heap variant makes building, copying and
+//! dropping one free — no allocation, no drop glue. The capacity is the
+//! system's rank limit ([`crate::MAX_RANK`]), checked where shapes enter
+//! the system, so pushing past it is a bug and panics.
 
 use std::hash::{Hash, Hasher};
 use std::ops::{Deref, DerefMut};
 
-/// Elements stored inline before spilling to the heap.
+/// Capacity of an [`InlineVec`].
 pub const INLINE: usize = 4;
 
-/// A vector of `Copy` elements, inline up to [`INLINE`] of them. Built
-/// by `collect` or [`push`](InlineVec::push); compares, hashes and
-/// prints as the slice it dereferences to.
+/// A vector of at most [`INLINE`] `Copy` elements. Built by `collect`
+/// or [`push`](InlineVec::push); compares, hashes and prints as the
+/// slice it dereferences to.
 ///
 /// # Examples
 ///
@@ -26,43 +26,33 @@ pub const INLINE: usize = 4;
 /// v.push(4);
 /// assert_eq!(&*v, &[2, 3, 4]);
 /// ```
-#[derive(Clone)]
-pub struct InlineVec<T>(Repr<T>);
-
-#[derive(Clone)]
-enum Repr<T> {
-    /// `buf[..len]` are the elements; `len <= INLINE`.
-    Inline { len: u8, buf: [T; INLINE] },
-    /// More than [`INLINE`] elements.
-    Heap(Vec<T>),
+#[derive(Clone, Copy)]
+pub struct InlineVec<T> {
+    /// `buf[..len]` are the elements.
+    len: u8,
+    buf: [T; INLINE],
 }
 
 impl<T: Copy + Default> InlineVec<T> {
-    /// Appends an element, spilling to the heap when the inline
-    /// storage is full.
+    /// Appends an element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the vector already holds [`INLINE`] elements.
     pub fn push(&mut self, value: T) {
-        match &mut self.0 {
-            Repr::Inline { len, buf } if usize::from(*len) < INLINE => {
-                buf[usize::from(*len)] = value;
-                *len += 1;
-            }
-            Repr::Inline { buf, .. } => {
-                let mut spilled = Vec::with_capacity(2 * INLINE);
-                spilled.extend_from_slice(buf);
-                spilled.push(value);
-                self.0 = Repr::Heap(spilled);
-            }
-            Repr::Heap(v) => v.push(value),
-        }
+        let len = usize::from(self.len);
+        assert!(len < INLINE, "InlineVec holds at most {INLINE} elements");
+        self.buf[len] = value;
+        self.len += 1;
     }
 }
 
 impl<T: Copy + Default> Default for InlineVec<T> {
     fn default() -> Self {
-        InlineVec(Repr::Inline {
+        InlineVec {
             len: 0,
             buf: [T::default(); INLINE],
-        })
+        }
     }
 }
 
@@ -80,19 +70,13 @@ impl<T> Deref for InlineVec<T> {
     type Target = [T];
 
     fn deref(&self) -> &[T] {
-        match &self.0 {
-            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
-            Repr::Heap(v) => v,
-        }
+        &self.buf[..usize::from(self.len)]
     }
 }
 
 impl<T> DerefMut for InlineVec<T> {
     fn deref_mut(&mut self) -> &mut [T] {
-        match &mut self.0 {
-            Repr::Inline { len, buf } => &mut buf[..usize::from(*len)],
-            Repr::Heap(v) => v,
-        }
+        &mut self.buf[..usize::from(self.len)]
     }
 }
 
@@ -128,23 +112,27 @@ mod tests {
     }
 
     #[test]
-    fn spills_past_inline_capacity_and_keeps_order() {
+    fn fills_to_capacity_then_refuses_to_grow() {
         let mut v = InlineVec::default();
-        for i in 0..INLINE + 3 {
+        for i in 0..INLINE {
             assert_eq!(v.len(), i);
             v.push(i);
         }
-        assert!(matches!(v.0, Repr::Heap(_)));
-        assert_eq!(&*v, &(0..INLINE + 3).collect::<Vec<_>>()[..]);
+        assert_eq!(&*v, &(0..INLINE).collect::<Vec<_>>()[..]);
+        assert!(std::panic::catch_unwind(move || {
+            let mut full = v;
+            full.push(INLINE);
+        })
+        .is_err());
     }
 
     #[test]
     fn behaves_as_the_slice_it_holds() {
-        let long: Vec<usize> = (0..9).collect();
-        for items in [&[][..], &[5][..], &[1, 2, 3, 4][..], &long[..]] {
+        for items in [&[][..], &[5][..], &[1, 2, 3][..], &[1, 2, 3, 4][..]] {
             let a: InlineVec<usize> = items.iter().copied().collect();
             assert_eq!(&*a, items);
-            assert_eq!(a, a.clone());
+            let copy = a;
+            assert_eq!(a, copy);
             assert_eq!(hash_of(&a), hash_of(&items.to_vec()));
             assert_eq!(format!("{a:?}"), format!("{items:?}"));
         }

@@ -35,6 +35,6 @@ pub use dtype::DType;
 pub use error::{Result, TensorError};
 pub use inline::InlineVec;
 pub use scratch::ScratchPool;
-pub use shape::Shape;
+pub use shape::{Shape, MAX_RANK};
 pub use tensor::Tensor;
 pub use view::{TensorView, TensorViewMut};

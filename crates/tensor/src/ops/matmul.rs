@@ -1,9 +1,8 @@
 //! Matrix-multiplication reference operators.
 
 use super::viewed;
-use crate::error::{Result, TensorError};
+use crate::error::Result;
 use crate::scratch::ScratchPool;
-use crate::shape::Shape;
 use crate::tensor::Tensor;
 
 /// 2-D matrix multiplication `C[M,N] = A · B`.
@@ -20,60 +19,10 @@ pub fn matmul(a: &Tensor, b: &Tensor, transpose_b: bool) -> Result<Tensor> {
     )
 }
 
-/// Batched matrix multiplication over one leading batch dimension.
-///
-/// `A` is `[B, M, K]`; `B` is `[B, K, N]` (or `[B, N, K]` when
-/// `transpose_b`). Used for per-head attention GEMMs.
-pub fn batched_matmul(a: &Tensor, b: &Tensor, transpose_b: bool) -> Result<Tensor> {
-    if a.shape().rank() != 3 || b.shape().rank() != 3 {
-        return Err(TensorError::ShapeMismatch {
-            op: "batched_matmul(rank)",
-            lhs: a.shape().clone(),
-            rhs: b.shape().clone(),
-        });
-    }
-    let batch = a.shape().dim(0)?;
-    if b.shape().dim(0)? != batch {
-        return Err(TensorError::ShapeMismatch {
-            op: "batched_matmul(batch)",
-            lhs: a.shape().clone(),
-            rhs: b.shape().clone(),
-        });
-    }
-    let (m, k) = (a.shape().dim(1)?, a.shape().dim(2)?);
-    let n = if transpose_b {
-        b.shape().dim(1)?
-    } else {
-        b.shape().dim(2)?
-    };
-
-    let mut out = Tensor::zeros(Shape::new(vec![batch, m, n]), a.dtype());
-    for bi in 0..batch {
-        let a_slice = slice_batch(a, bi, m, k);
-        let b_rows = if transpose_b { n } else { k };
-        let b_cols = if transpose_b { k } else { n };
-        let b_slice = slice_batch(b, bi, b_rows, b_cols);
-        let c = matmul(&a_slice, &b_slice, transpose_b)?;
-        let dst = &mut out.data_mut()[bi * m * n..(bi + 1) * m * n];
-        dst.copy_from_slice(c.data());
-    }
-    Ok(out)
-}
-
-fn slice_batch(t: &Tensor, batch: usize, rows: usize, cols: usize) -> Tensor {
-    let start = batch * rows * cols;
-    Tensor::from_data(
-        Shape::new(vec![rows, cols]),
-        t.dtype(),
-        t.data()[start..start + rows * cols].to_vec(),
-    )
-    .expect("slice volume matches")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DType;
+    use crate::{DType, Shape};
 
     fn t(dims: Vec<usize>, data: Vec<f32>) -> Tensor {
         Tensor::from_data(Shape::new(dims), DType::F32, data).unwrap()
@@ -109,25 +58,5 @@ mod tests {
         let a = t(vec![2, 3], vec![0.0; 6]);
         let b = t(vec![4, 2], vec![0.0; 8]);
         assert!(matmul(&a, &b, false).is_err());
-    }
-
-    #[test]
-    fn batched_matmul_matches_per_batch() {
-        let a = Tensor::random(Shape::new(vec![2, 3, 4]), DType::F32, 3);
-        let b = Tensor::random(Shape::new(vec![2, 4, 5]), DType::F32, 4);
-        let c = batched_matmul(&a, &b, false).unwrap();
-        assert_eq!(c.shape().dims(), &[2, 3, 5]);
-        // Check batch 1 against a manual 2-D matmul.
-        let a1 = t(vec![3, 4], a.data()[12..24].to_vec());
-        let b1 = t(vec![4, 5], b.data()[20..40].to_vec());
-        let c1 = matmul(&a1, &b1, false).unwrap();
-        assert_eq!(&c.data()[15..30], c1.data());
-    }
-
-    #[test]
-    fn batched_matmul_batch_mismatch() {
-        let a = Tensor::zeros(Shape::new(vec![2, 3, 4]), DType::F32);
-        let b = Tensor::zeros(Shape::new(vec![3, 4, 5]), DType::F32);
-        assert!(batched_matmul(&a, &b, false).is_err());
     }
 }

@@ -13,7 +13,7 @@ pub mod composite;
 pub mod viewed;
 
 pub use elementwise::{binary, binary_scalar, unary};
-pub use matmul::{batched_matmul, matmul};
+pub use matmul::matmul;
 pub use reduce::{broadcast_to, reduce};
 
 /// Element-wise unary operators.

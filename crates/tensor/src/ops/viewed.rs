@@ -54,7 +54,7 @@ macro_rules! per_binary_op {
 fn map_view(x: &TensorView, pool: &mut ScratchPool, f: impl Fn(f32) -> f32) -> Tensor {
     let mut out = pool.take_for_overwrite(x.volume());
     x.map_into(&mut out, f);
-    Tensor::from_data(x.shape().clone(), x.dtype(), out).expect("a map preserves volume")
+    Tensor::from_data(*x.shape(), x.dtype(), out).expect("a map preserves volume")
 }
 
 /// Applies a unary operator element-wise.
@@ -138,6 +138,72 @@ fn zip_views(
         });
     }
     Ok(Tensor::from_data(out_shape, a.dtype(), data).expect("volume matches"))
+}
+
+/// `acc[i] = op(acc[i], b[i])` in place: [`binary`] for a result of
+/// `acc`'s shape (`b` may have extent 1 where `acc` is larger), with no
+/// output buffer.
+pub fn binary_in_place(op: BinaryOp, acc: &mut Tensor, b: &TensorView) -> Result<()> {
+    per_binary_op!(op, |OP| fold_in_place(
+        acc,
+        b,
+        b,
+        |y, _| y,
+        |x, y| OP.eval(x, y)
+    ))
+}
+
+/// `acc[i] = f(acc[i], g(a[i], b[i]))` in place, with `a` and `b` (one
+/// shape) broadcast to `acc`'s (extent 1 where it is larger). `g` runs
+/// once per run of the innermost axis when the pair is broadcast along
+/// it — once per row for a per-row rescale factor.
+pub fn fold_in_place(
+    acc: &mut Tensor,
+    a: &TensorView,
+    b: &TensorView,
+    g: impl Fn(f32, f32) -> f32,
+    f: impl Fn(f32, f32) -> f32,
+) -> Result<()> {
+    let shape = *acc.shape();
+    if !shape.broadcasts_from(a.shape()) || a.dims() != b.dims() {
+        return Err(TensorError::ShapeMismatch {
+            op: "in-place fold",
+            lhs: shape,
+            rhs: *a.shape(),
+        });
+    }
+    let data = acc.data_mut();
+    if a.dims() == shape.dims() {
+        if let (Some(ys), Some(zs)) = (a.as_slice(), b.as_slice()) {
+            for ((x, &y), &z) in data.iter_mut().zip(ys).zip(zs) {
+                *x = f(*x, g(y, z));
+            }
+            return Ok(());
+        }
+    }
+    let a_strides = masked_strides(a, &shape);
+    let b_strides = masked_strides(b, &shape);
+    let (outer, n, sa) = split_inner(shape.dims(), &a_strides);
+    let sb = b_strides.last().copied().unwrap_or(0);
+    let (ad, bd) = (a.data(), b.data());
+    if data.is_empty() {
+        return Ok(());
+    }
+    let mut rows = data.chunks_exact_mut(n);
+    for_each_run(outer, [&a_strides, &b_strides], |[ao, bo]| {
+        let row = rows.next().expect("one accumulator row per run");
+        if (sa, sb) == (0, 0) {
+            let y = g(ad[ao], bd[bo]);
+            for x in row {
+                *x = f(*x, y);
+            }
+        } else {
+            for (i, x) in row.iter_mut().enumerate() {
+                *x = f(*x, g(ad[ao + i * sa], bd[bo + i * sb]));
+            }
+        }
+    });
+    Ok(())
 }
 
 /// Reduces along dimension `dim`, keeping it with extent 1.
@@ -226,8 +292,8 @@ pub fn matmul(
     if a.rank() != 2 || b.rank() != 2 {
         return Err(TensorError::ShapeMismatch {
             op: "matmul(rank)",
-            lhs: a.shape().clone(),
-            rhs: b.shape().clone(),
+            lhs: *a.shape(),
+            rhs: *b.shape(),
         });
     }
     let (m, k) = (a.shape().dim(0)?, a.shape().dim(1)?);
@@ -239,8 +305,8 @@ pub fn matmul(
     if k != bk {
         return Err(TensorError::ShapeMismatch {
             op: "matmul(inner)",
-            lhs: a.shape().clone(),
-            rhs: b.shape().clone(),
+            lhs: *a.shape(),
+            rhs: *b.shape(),
         });
     }
 

@@ -1,17 +1,21 @@
 //! Tensor shapes and the small shape algebra used by the compiler.
 
 use crate::error::{Result, TensorError};
-use crate::inline::InlineVec;
+use crate::inline::{InlineVec, INLINE};
 use std::fmt;
 
-/// A dense, row-major tensor shape. The extents are stored inline
-/// ([`InlineVec`]), so building, cloning and dropping a shape of
-/// ordinary rank never touches the heap.
-#[derive(Clone, PartialEq, Eq, Hash, Default)]
+/// The largest rank a [`Shape`] holds.
+pub const MAX_RANK: usize = INLINE;
+
+/// A dense, row-major tensor shape of rank at most [`MAX_RANK`]. The
+/// extents are stored inline ([`InlineVec`]), so a shape is a `Copy`
+/// value: building, copying and dropping one never touches the heap.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Shape(InlineVec<usize>);
 
 impl Shape {
-    /// Creates a shape from its dimension extents.
+    /// Creates a shape from its dimension extents; panics past
+    /// [`MAX_RANK`] of them (input checks the rank where it enters).
     pub fn new(dims: Vec<usize>) -> Self {
         Shape(dims.into_iter().collect())
     }
@@ -52,7 +56,7 @@ impl Shape {
     /// Row-major strides (in elements).
     pub fn strides(&self) -> InlineVec<usize> {
         // The extents, replaced back to front by their running product.
-        let mut strides = self.0.clone();
+        let mut strides = self.0;
         let mut stride = 1;
         for s in strides.iter_mut().rev() {
             stride *= std::mem::replace(s, stride);
@@ -84,7 +88,7 @@ impl Shape {
                 rank: self.0.len(),
             });
         }
-        let mut shape = self.clone();
+        let mut shape = *self;
         shape.0[dim] = extent;
         Ok(shape)
     }
@@ -105,8 +109,8 @@ impl Shape {
         if self.rank() != other.rank() {
             return Err(TensorError::ShapeMismatch {
                 op: "broadcast",
-                lhs: self.clone(),
-                rhs: other.clone(),
+                lhs: *self,
+                rhs: *other,
             });
         }
         let mut dims = InlineVec::default();
@@ -118,8 +122,8 @@ impl Shape {
             } else {
                 return Err(TensorError::ShapeMismatch {
                     op: "broadcast",
-                    lhs: self.clone(),
-                    rhs: other.clone(),
+                    lhs: *self,
+                    rhs: *other,
                 });
             }
         }

@@ -31,7 +31,7 @@ impl Clone for Tensor {
         // the allocation statistics like any constructor.
         crate::alloc_stats::record_alloc();
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             dtype: self.dtype,
             data: self.data.clone(),
         }
@@ -136,7 +136,7 @@ impl Tensor {
         crate::alloc_stats::record_alloc();
         let data = self.data.iter().map(|&v| self.dtype.quantize(v)).collect();
         Tensor {
-            shape: self.shape.clone(),
+            shape: self.shape,
             dtype: self.dtype,
             data,
         }
@@ -214,7 +214,7 @@ mod tests {
     #[test]
     fn size_accounts_for_dtype() {
         let s = Shape::new(vec![4, 4]);
-        assert_eq!(Tensor::zeros(s.clone(), DType::F16).size_bytes(), 32);
+        assert_eq!(Tensor::zeros(s, DType::F16).size_bytes(), 32);
         assert_eq!(Tensor::zeros(s, DType::F32).size_bytes(), 64);
     }
 

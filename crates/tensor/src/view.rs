@@ -13,8 +13,9 @@
 //! shared output without any lock — spatial blocks write disjoint
 //! regions by the slicer's Table-3 legality guarantee.
 //!
-//! Dimensions and strides are stored inline ([`InlineVec`]), so
-//! building, slicing and dropping a view never allocates.
+//! Dimensions and strides are stored inline ([`InlineVec`]), so a
+//! [`TensorView`] is a `Copy` value: building, slicing and dropping one
+//! never allocates and runs no drop glue.
 //!
 //! Everything that walks a strided view element by element — the
 //! element-wise kernels of [`crate::ops::viewed`], [`TensorView::to_tensor`]
@@ -124,7 +125,7 @@ pub(crate) fn map_run(
 /// assert!(!v.is_contiguous());
 /// assert_eq!(v.to_tensor().data(), &[1.0, 2.0, 4.0, 5.0]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TensorView<'a> {
     /// Parent storage starting at this view's base offset.
     data: &'a [f32],
@@ -237,7 +238,7 @@ impl<'a> TensorView<'a> {
             )));
         }
         let mut offset = 0usize;
-        let mut shape = self.shape.clone();
+        let mut shape = self.shape;
         for ((&(s, t), e), &stride) in ranges.iter().zip(shape.dims_mut()).zip(self.strides.iter())
         {
             if s > t || t > *e {
@@ -252,7 +253,7 @@ impl<'a> TensorView<'a> {
         Ok(TensorView {
             data: &self.data[offset..],
             shape,
-            strides: self.strides.clone(),
+            strides: self.strides,
             dtype: self.dtype,
         })
     }
@@ -280,7 +281,7 @@ impl<'a> TensorView<'a> {
         crate::alloc_stats::record_alloc();
         let mut out = vec![0.0; self.volume()];
         self.map_into(&mut out, |v| v);
-        Tensor::from_data(self.shape.clone(), self.dtype, out).expect("view volume matches")
+        Tensor::from_data(self.shape, self.dtype, out).expect("view volume matches")
     }
 }
 
@@ -412,7 +413,7 @@ impl Tensor {
     pub fn view(&self) -> TensorView<'_> {
         TensorView::new(
             self.data(),
-            self.shape().clone(),
+            *self.shape(),
             self.shape().strides(),
             self.dtype(),
         )
@@ -441,7 +442,7 @@ impl Tensor {
 
     /// A mutable view of the whole tensor.
     pub fn view_mut(&mut self) -> TensorViewMut<'_> {
-        let shape = self.shape().clone();
+        let shape = *self.shape();
         let strides = shape.strides();
         let data = self.data_mut();
         let len = data.len();
