@@ -1,25 +1,22 @@
-//! Benchmark harness utilities shared by the figure/table binaries.
+//! Benchmark harness reproducing the paper's evaluation (§6).
 //!
-//! Every binary in `src/bin/` regenerates one figure or table of the
-//! paper's evaluation (§6). The helpers here run workloads through the
-//! engines, collect simulated times and counters, and print the same
-//! rows/series the paper reports. Absolute numbers come from the
-//! simulator, not the authors' testbed — the claims under reproduction
-//! are the *shapes*: who wins, by roughly what factor, and where the
-//! crossovers fall.
+//! [`repro::ARTEFACTS`] is the one table of figures and tables; the
+//! `repro` binary renders its rows and `tests/repro_golden.rs` pins the
+//! simulated ones. The helpers here run workloads through the engines,
+//! collect simulated times and print the rows/series the paper reports.
+//! Absolute numbers come from the simulator, not the authors' testbed —
+//! the claims under reproduction are the *shapes*: who wins, by roughly
+//! what factor, and where the crossovers fall.
 
-pub mod report;
-pub mod timing;
-
-pub use report::Report;
+pub mod repro;
 
 use sf_baselines::Engine;
 use sf_gpu_sim::Arch;
 use sf_ir::Graph;
 use sf_models::{TransformerConfig, Workload};
-use spacefusion::compiler::{CompileOptions, CompiledProgram, Compiler};
-use spacefusion::pipeline::CompileSession;
+use spacefusion::compiler::{CompiledProgram, Compiler};
 use spacefusion::Result;
+use std::fmt::{Display, Write as _};
 
 /// How many batch instances the profiler replays in detail; the rest are
 /// scaled (the workloads are instance-homogeneous).
@@ -37,7 +34,8 @@ pub fn engine_subgraph_us(engine: Engine, arch: Arch, graph: &Graph) -> Result<f
     Ok(profiled_us(&engine.compile(arch, graph)?))
 }
 
-/// End-to-end model time under an engine, µs.
+/// End-to-end model time, µs, with every subprogram built by `compile`
+/// (an engine, or a session holding the Fig. 16 ablation options).
 ///
 /// Sums `count × subprogram-time` over the model's distinct subprograms.
 /// Large-GEMM subprograms use the analytic estimate (their working sets
@@ -45,16 +43,15 @@ pub fn engine_subgraph_us(engine: Engine, arch: Arch, graph: &Graph) -> Result<f
 /// full-model sweeps tractable; fused-attention and normalization
 /// subprograms — where cache behaviour decides the outcome — always go
 /// through the cache simulator.
-pub fn engine_model_us(
-    engine: Engine,
-    arch: Arch,
+pub fn model_us(
     model: &TransformerConfig,
     batch: usize,
     seq: usize,
+    compile: impl Fn(&Graph) -> Result<CompiledProgram>,
 ) -> Result<f64> {
     let mut total = 0.0;
     for Workload { graph, count } in model.subprograms(batch, seq) {
-        let program = engine.compile(arch, &graph)?;
+        let program = compile(&graph)?;
         let detailed = sf_baselines::engines::is_attention(&graph)
             || sf_baselines::engines::is_row_norm(&graph);
         let us = if detailed {
@@ -76,51 +73,22 @@ pub fn library_unfused_us(arch: Arch, graph: &Graph) -> Result<f64> {
     Ok(profiled_us(&program))
 }
 
-/// End-to-end model time under explicit compiler options, µs.
-///
-/// Used by the Fig. 16 ablation variants (`Base(SS)`, `Base+AS`,
-/// `Base+TS`) which are option sets rather than engines.
-pub fn options_model_us(
-    opts: &CompileOptions,
-    arch: Arch,
-    model: &TransformerConfig,
-    batch: usize,
-    seq: usize,
-) -> Result<f64> {
-    // One session per sweep point: repeated subprogram shapes across the
-    // model's layers hit the shared schedule cache instead of re-tuning.
-    let session = CompileSession::new(arch, opts.clone());
-    let mut total = 0.0;
-    for Workload { graph, count } in model.subprograms(batch, seq) {
-        let program = session.compile(&graph)?;
-        let detailed = sf_baselines::engines::is_attention(&graph)
-            || sf_baselines::engines::is_row_norm(&graph);
-        let us = if detailed {
-            profiled_us(&program)
-        } else {
-            program.estimate_us()
-        };
-        total += us * count as f64;
-    }
-    Ok(total)
-}
-
-/// Formats one speedup row: `label: v1 v2 v3 ...`.
-pub fn print_row(label: &str, values: &[f64]) {
-    print!("{label:<28}");
+/// Writes one speedup row: `label: v1 v2 v3 ...`.
+pub fn print_row(out: &mut String, label: &str, values: &[f64]) {
+    let _ = write!(out, "{label:<28}");
     for v in values {
-        print!(" {v:>8.2}");
+        let _ = write!(out, " {v:>8.2}");
     }
-    println!();
+    out.push('\n');
 }
 
-/// Prints a header row.
-pub fn print_header(label: &str, cols: &[String]) {
-    print!("{label:<28}");
+/// Writes a header row.
+pub fn print_header<C: Display>(out: &mut String, label: &str, cols: impl IntoIterator<Item = C>) {
+    let _ = write!(out, "{label:<28}");
     for c in cols {
-        print!(" {c:>8}");
+        let _ = write!(out, " {c:>8}");
     }
-    println!();
+    out.push('\n');
 }
 
 /// Geometric mean (used for "average speedup" summaries).
@@ -138,11 +106,6 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// Whether `--quick` was passed (reduced sweep sizes for smoke runs).
-pub fn quick(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--quick")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,13 +120,13 @@ mod tests {
 
     #[test]
     fn arg_parsing() {
-        let args: Vec<String> = ["--part", "a", "--quick"]
+        let args: Vec<String> = ["--socket", "/tmp/s.sock", "--shutdown"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(arg_value(&args, "--part").as_deref(), Some("a"));
+        assert_eq!(arg_value(&args, "--socket").as_deref(), Some("/tmp/s.sock"));
+        assert_eq!(arg_value(&args, "--shutdown"), None);
         assert_eq!(arg_value(&args, "--missing"), None);
-        assert!(quick(&args));
     }
 
     #[test]
@@ -181,7 +144,10 @@ mod tests {
     fn model_measurement_runs_small_bert() {
         let mut cfg = sf_models::bert();
         cfg.layers = 1;
-        let t = engine_model_us(Engine::SpaceFusion, Arch::Ampere, &cfg, 1, 64).unwrap();
+        let t = model_us(&cfg, 1, 64, |g| {
+            Engine::SpaceFusion.compile(Arch::Ampere, g)
+        })
+        .unwrap();
         assert!(t.is_finite() && t > 0.0);
     }
 }

@@ -311,7 +311,6 @@ pub struct ExecEngine {
     serial_scratch: Mutex<ScratchPool>,
     dispatches: AtomicU64,
     serial_runs: AtomicU64,
-    batches: AtomicU64,
     /// Kernels denied the lock-free path because their disjointness
     /// proof failed (`RACE505` or worse); they ran serially instead.
     race_fallbacks: AtomicU64,
@@ -329,7 +328,6 @@ impl std::fmt::Debug for ExecEngine {
             .field("workers", &self.pool.spawned())
             .field("dispatches", &self.dispatches())
             .field("serial_runs", &self.serial_runs())
-            .field("batches", &self.batches())
             .field("race_fallbacks", &self.race_fallbacks())
             .finish()
     }
@@ -343,7 +341,6 @@ impl ExecEngine {
             serial_scratch: Mutex::new(ScratchPool::new()),
             dispatches: AtomicU64::new(0),
             serial_runs: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
             race_fallbacks: AtomicU64::new(0),
         }
     }
@@ -365,11 +362,6 @@ impl ExecEngine {
     /// Kernels run serially (single worker or under the cutoff).
     pub fn serial_runs(&self) -> u64 {
         self.serial_runs.load(Ordering::Relaxed)
-    }
-
-    /// `execute_many` batches dispatched to the pool.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
     }
 
     /// Kernels forced onto the serial path by a failed disjointness
@@ -396,17 +388,6 @@ impl ExecEngine {
         task: &(dyn Fn(&mut ScratchPool) + Sync),
     ) -> bool {
         self.dispatches.fetch_add(1, Ordering::Relaxed);
-        self.pool.run(workers, task)
-    }
-
-    /// Runs a job on the pool, counting it as a batch dispatch.
-    /// Returns `true` if a worker panicked out of the task.
-    pub(crate) fn run_batch(
-        &self,
-        workers: usize,
-        task: &(dyn Fn(&mut ScratchPool) + Sync),
-    ) -> bool {
-        self.batches.fetch_add(1, Ordering::Relaxed);
         self.pool.run(workers, task)
     }
 
@@ -532,6 +513,5 @@ mod tests {
         assert_eq!(engine.dispatches(), 0);
         engine.run_dispatch(2, &|_| {});
         assert_eq!(engine.dispatches(), 1);
-        assert_eq!(engine.batches(), 0);
     }
 }

@@ -8,8 +8,8 @@
 //! Update-then-Aggregate) and, for two-phase schedules, a second
 //! streaming pass that produces the outputs from the finalized
 //! aggregates. The plan decides what runs where; this module is the
-//! arithmetic. The two entry points are [`ExecEngine::execute_kernel`]
-//! and, for callers already inside the pool, `execute_kernel_pooled`.
+//! arithmetic. The entry point is [`ExecEngine::execute_kernel`]; its
+//! serial path is `execute_kernel_pooled`.
 //!
 //! This interpreter is the correctness oracle of the whole compiler: the
 //! test suites compare its results bit-for-bit-ish (to float tolerance)
@@ -386,10 +386,9 @@ fn recycle(
 }
 
 /// Executes one kernel serially with an explicit scratch pool,
-/// publishing outputs into `env` on success. This is the in-worker
-/// path of [`crate::pipeline::CompiledProgram::execute_many`]: batch
-/// items already occupy the pool's workers, so their kernels must not
-/// re-enter the pool.
+/// publishing outputs into `env` on success. This is the serial path of
+/// [`ExecEngine::execute_kernel`]: kernels under the serial cutoff, runs
+/// at one thread, and kernels whose disjointness proof failed.
 ///
 /// Every spatial block runs behind a `catch_unwind` boundary, so a
 /// panicking block (a backend bug, an injected crash) surfaces as

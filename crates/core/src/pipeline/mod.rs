@@ -38,10 +38,9 @@ use crate::resilience::{panic_payload, Deadline, DegradationReport, FaultInjecto
 use crate::sched::SlicingOptions;
 use sf_gpu_sim::{Arch, GpuArch, KernelCost, Profiler, ProgramStats};
 use sf_ir::{Graph, ValueKind};
-use sf_tensor::{ScratchPool, Tensor};
+use sf_tensor::Tensor;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What the compiler is allowed to fuse — SpaceFusion itself plus the
@@ -219,77 +218,6 @@ impl CompiledProgram {
     /// The execution engine this program runs on.
     pub fn engine(&self) -> &Arc<ExecEngine> {
         &self.engine
-    }
-
-    /// Executes the program over many independent binding sets — the
-    /// batched throughput path — returning each item's outputs in
-    /// input order.
-    ///
-    /// Items fan out over the engine's persistent worker pool, one item
-    /// per worker at a time; within a worker an item's kernels run
-    /// serially with the worker's pinned scratch arena (batch items
-    /// already occupy the pool, so kernels must not re-enter it).
-    /// Results are bit-identical to executing each binding set
-    /// individually at any thread count. On failure, the error of the
-    /// lowest-index failing item is returned, independent of worker
-    /// scheduling.
-    pub fn execute_many(
-        &self,
-        batches: &[HashMap<String, Tensor>],
-        opts: &ExecOptions,
-    ) -> Result<Vec<Vec<Tensor>>> {
-        let workers = opts.effective_threads().min(batches.len()).max(1);
-        if workers == 1 {
-            // Single worker: run inline, still reusing the engine's
-            // serial scratch arena via the per-kernel path.
-            return batches.iter().map(|b| self.execute_with(b, opts)).collect();
-        }
-        let results: Vec<OnceLock<Result<Vec<Tensor>>>> =
-            (0..batches.len()).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        let panicked = self
-            .engine
-            .run_batch(workers, &|pool: &mut ScratchPool| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= batches.len() {
-                    return;
-                }
-                let mut env = Env::new(&batches[i]);
-                let mut failed = None;
-                for k in &self.kernels {
-                    if let Err(e) =
-                        crate::codegen::exec::execute_kernel_pooled(k, &mut env, pool, None)
-                    {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-                let out = match failed {
-                    Some(e) => Err(e),
-                    None => self.resolve_outputs(env),
-                };
-                // Each index is claimed exactly once, so the slot is empty.
-                let _ = results[i].set(out);
-            });
-        if panicked {
-            return Err(SfError::Internal {
-                pass: "exec:batch".into(),
-                payload: "worker panicked during batched execution".into(),
-            });
-        }
-        let mut out = Vec::with_capacity(batches.len());
-        for (i, slot) in results.into_iter().enumerate() {
-            match slot.into_inner() {
-                Some(r) => out.push(r?),
-                None => {
-                    return Err(SfError::Internal {
-                        pass: "exec:batch".into(),
-                        payload: format!("batch item {i} produced no result"),
-                    })
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Executes the program with per-kernel fault isolation: a kernel

@@ -374,8 +374,8 @@ pub fn render_timings(events: &[PassEvent]) -> String {
 /// Timing and search-space statistics of one compilation.
 ///
 /// Populated from the same measurements that feed the event sink, so
-/// pre-pipeline consumers (the Table 4 binary, the ablation sweeps)
-/// keep working unchanged.
+/// pre-pipeline consumers (the `repro` runner's `table4` row) keep
+/// working unchanged.
 #[derive(Debug, Clone, Default)]
 pub struct CompileStats {
     /// Time in spatial-slicer analysis (`SS.getDims + SS.slice`), µs.

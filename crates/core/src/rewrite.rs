@@ -17,7 +17,7 @@
 //!
 //! The rewrite is an opt-in extension (`CompileOptions` leaves it off by
 //! default so the reproduction matches the paper's Fig. 10(c) form); the
-//! `ablation` benchmark quantifies its effect.
+//! `repro --only ablation` run quantifies its effect.
 
 use sf_ir::{Graph, GraphError, OpKind, ValueId};
 use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};

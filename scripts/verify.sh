@@ -19,11 +19,10 @@ cargo test -q --workspace
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> exec_bench perf smoke + zoo determinism at --exec-threads max"
-# --gate enforces both the 10% aggregate tolerance and the per-workload
-# 0.95x floor; the bench itself asserts bitwise serial/parallel/batched
-# equality over the zoo before timing anything.
-./target/release/exec_bench --quick --gate --exec-threads max --out target/BENCH_exec.json
+echo "==> sfbench smoke (all six workloads, every timed op checked against its set-up run)"
+# Exits non-zero if any workload's correctness check fails; the timings
+# of a --quick run are never used for claims.
+bash benchmark/run.sh --quick
 
 echo "==> sfc lint (golden-clean gate over examples/graphs + tests/corpus)"
 # --deny-warnings promotes RACE505 (unprovable write footprint) to an
