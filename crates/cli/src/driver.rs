@@ -1,16 +1,154 @@
-//! The `sfc` subcommands.
+//! The `sfc` subcommands: one flag table per subcommand, one flag walker
+//! ([`flags`]) and one dispatcher ([`run`]).
+//!
+//! `fuzz`, `faultsim`, `serve` and `chaos` parse straight into the
+//! library types they drive, so each default lives only in that type's
+//! `Default`. `compile` and `lint` keep their own small structs, because
+//! most of their flags are CLI-only.
 
 use sf_gpu_sim::Arch;
+use sf_ir::dsl::{parse_graph, print_graph};
 use sf_ir::Graph;
 use spacefusion::compiler::{CompileOptions, FusionPolicy};
 use spacefusion::pipeline::{render_timings, CollectingSink, CompileSession};
 use spacefusion::sched::OpRole;
+use spacefusion::serve::json::Json;
+use spacefusion::serve::ServeConfig;
 use spacefusion::slicer::AggKind;
 use spacefusion::smg::build_smg;
-use spacefusion::verify::{counts, verify_program, DiagCode, VerifyConfig};
+use spacefusion::verify::{counts, verify_program, DiagCode, Diagnostic, VerifyConfig};
+use std::fmt::Write as _;
+use std::path::PathBuf;
+use std::str::FromStr;
 use std::sync::Arc;
 
-/// Parsed command-line options.
+/// Writes one flag's value (empty for a switch) into a subcommand's
+/// config; `Err` says what the value should have been.
+type Setter<C> = fn(&mut C, &str) -> Result<(), String>;
+
+/// One row of a flag table: the flag, its metavariable (empty for a
+/// switch) and its setter.
+type Flag<C> = (&'static str, &'static str, Setter<C>);
+
+/// A subcommand's command line.
+struct Cmd<C: 'static> {
+    name: &'static str,
+    /// Metavariable of the leading operand (`FILE`, `SOCKET`); empty
+    /// when the subcommand takes none.
+    operand: &'static str,
+    /// Whether the shared `--timings` switch is accepted.
+    timed: bool,
+    flags: &'static [Flag<C>],
+}
+
+impl<C> Cmd<C> {
+    /// The subcommand's usage line, rendered from its table.
+    fn usage(&self) -> String {
+        let mut s = format!("sfc {} {}", self.name, self.operand)
+            .trim_end()
+            .to_string();
+        for (name, meta, _) in self.flags {
+            let sep = if meta.is_empty() { "" } else { " " };
+            let _ = write!(s, " [{name}{sep}{meta}]");
+        }
+        if self.timed {
+            s.push_str(" [--timings]");
+        }
+        s
+    }
+}
+
+// Value kinds shared by every table.
+
+fn count<T: FromStr>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|_| "a count".to_string())
+}
+
+fn positive<T: FromStr + Default + PartialEq>(v: &str) -> Result<T, String> {
+    let n = v.parse().ok().filter(|n| *n != T::default());
+    n.ok_or_else(|| "a positive count".to_string())
+}
+
+fn seed(v: &str) -> Result<u64, String> {
+    v.parse().map_err(|_| "a seed".to_string())
+}
+
+/// A worker-thread count; `max` (and `0`) mean one per core.
+fn threads(v: &str) -> Result<usize, String> {
+    if v == "max" {
+        return Ok(0);
+    }
+    v.parse().map_err(|_| "a count or 'max'".to_string())
+}
+
+const ARCH: &str = "volta|ampere|hopper";
+const POLICY: &str = "spacefusion|unfused|epilogue|mi-only|tile-graph";
+
+fn arch(v: &str) -> Result<Arch, String> {
+    Arch::parse(v).ok_or_else(|| ARCH.to_string())
+}
+
+fn policy(v: &str) -> Result<FusionPolicy, String> {
+    FusionPolicy::parse(v).ok_or_else(|| POLICY.to_string())
+}
+
+fn path(v: &str) -> Result<PathBuf, String> {
+    Ok(PathBuf::from(v))
+}
+
+fn code(v: &str) -> Result<DiagCode, String> {
+    DiagCode::parse(v).ok_or_else(|| "a diagnostic code".to_string())
+}
+
+fn on(switch: &mut bool) -> Result<(), String> {
+    *switch = true;
+    Ok(())
+}
+
+/// Walks `args` through `cmd`'s table, starting from the config's
+/// defaults. Returns the config and the shared `--timings` switch.
+fn flags<C: Default>(cmd: &Cmd<C>, args: &[String]) -> Result<(C, bool), String> {
+    let (mut cfg, mut timings) = (C::default(), false);
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        i += 1;
+        if cmd.timed && arg == "--timings" {
+            timings = true;
+            continue;
+        }
+        let (name, meta, set) = cmd
+            .flags
+            .iter()
+            .find(|f| f.0 == arg)
+            .ok_or_else(|| format!("unknown flag '{arg}'"))?;
+        let value = if meta.is_empty() {
+            ""
+        } else {
+            i += 1;
+            args.get(i - 1)
+                .map(String::as_str)
+                .ok_or_else(|| format!("{name} needs {meta}"))?
+        };
+        set(&mut cfg, value).map_err(|want| format!("{name} needs {want}, got '{value}'"))?;
+    }
+    Ok((cfg, timings))
+}
+
+/// Splits `cmd`'s leading operand (if it takes one) off `args`, then
+/// walks the flags. Errors carry the usage line.
+fn parse<'a, C: Default>(cmd: &Cmd<C>, args: &'a [String]) -> Result<(&'a str, C, bool), String> {
+    let usage = |e: String| format!("{e}\nusage: {}", cmd.usage());
+    let (operand, rest) = match args.split_first() {
+        _ if cmd.operand.is_empty() => ("", args),
+        Some((o, rest)) if !o.starts_with("--") => (o.as_str(), rest),
+        _ => return Err(usage(format!("{} needs {}", cmd.name, cmd.operand))),
+    };
+    let (cfg, timings) = flags(cmd, rest).map_err(usage)?;
+    Ok((operand, cfg, timings))
+}
+
+/// Options of `sfc compile`.
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Target architecture.
@@ -28,8 +166,6 @@ pub struct Options {
     pub rewrite: bool,
     /// Emit Triton-style pseudo-code for each kernel.
     pub emit: bool,
-    /// Print the per-pass timing table from the instrumentation events.
-    pub timings: bool,
     /// Worker threads for the execution engine's spatial block loop
     /// (`0` = auto).
     pub exec_threads: usize,
@@ -45,71 +181,32 @@ impl Default for Options {
             verify_seed: None,
             rewrite: false,
             emit: false,
-            timings: false,
             exec_threads: 0,
         }
     }
 }
 
-/// Parses the value of an `--arch` flag.
-fn arch_arg(args: &[String], i: usize) -> Result<Arch, String> {
-    let s = args.get(i).map(|s| s.as_str()).unwrap_or("<missing>");
-    Arch::parse(s).ok_or_else(|| format!("unknown --arch '{s}' (volta|ampere|hopper)"))
-}
+const COMPILE: Cmd<Options> = Cmd {
+    name: "compile",
+    operand: "FILE",
+    timed: true,
+    flags: &[
+        ("--arch", ARCH, |o, v| arch(v).map(|a| o.arch = a)),
+        ("--policy", POLICY, |o, v| policy(v).map(|p| o.policy = p)),
+        ("--dot", "", |o, _| on(&mut o.dot)),
+        ("--profile", "", |o, _| on(&mut o.profile)),
+        ("--verify", "SEED", |o, v| {
+            seed(v).map(|s| o.verify_seed = Some(s))
+        }),
+        ("--rewrite", "", |o, _| on(&mut o.rewrite)),
+        ("--emit", "", |o, _| on(&mut o.emit)),
+        ("--exec-threads", "N|max", |o, v| {
+            threads(v).map(|n| o.exec_threads = n)
+        }),
+    ],
+};
 
-/// Parses the value of a `--policy` flag.
-fn policy_arg(args: &[String], i: usize) -> Result<FusionPolicy, String> {
-    let s = args.get(i).map(|s| s.as_str()).unwrap_or("<missing>");
-    FusionPolicy::parse(s).ok_or_else(|| {
-        format!("unknown --policy '{s}' (spacefusion|unfused|epilogue|mi-only|tile-graph)")
-    })
-}
-
-/// Parses `--flag value` style arguments.
-pub fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut o = Options::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--arch" => {
-                i += 1;
-                o.arch = arch_arg(args, i)?;
-            }
-            "--policy" => {
-                i += 1;
-                o.policy = policy_arg(args, i)?;
-            }
-            "--dot" => o.dot = true,
-            "--profile" => o.profile = true,
-            "--verify" => {
-                i += 1;
-                o.verify_seed = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--verify needs a seed")?,
-                );
-            }
-            "--rewrite" => o.rewrite = true,
-            "--emit" => o.emit = true,
-            "--timings" => o.timings = true,
-            "--exec-threads" => {
-                i += 1;
-                o.exec_threads = match args.get(i).map(|s| s.as_str()) {
-                    Some("max") => 0,
-                    Some(n) => n
-                        .parse()
-                        .map_err(|_| "--exec-threads needs a count or 'max'".to_string())?,
-                    None => return Err("--exec-threads needs a count or 'max'".into()),
-                };
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(o)
-}
-
-/// Parsed options of `sfc lint`.
+/// Options of `sfc lint`.
 #[derive(Debug, Clone)]
 pub struct LintOptions {
     /// Target architecture.
@@ -136,56 +233,238 @@ impl Default for LintOptions {
     }
 }
 
-/// Parses `sfc lint` flags.
-pub fn parse_lint_options(args: &[String]) -> Result<LintOptions, String> {
-    let mut o = LintOptions::default();
-    let code_arg = |args: &[String], i: usize, flag: &str| -> Result<DiagCode, String> {
-        let s = args
-            .get(i)
-            .ok_or_else(|| format!("{flag} needs a diagnostic code"))?;
-        DiagCode::parse(s).ok_or_else(|| format!("unknown diagnostic code '{s}'"))
-    };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--arch" => {
-                i += 1;
-                o.arch = arch_arg(args, i)?;
-            }
-            "--policy" => {
-                i += 1;
-                o.policy = policy_arg(args, i)?;
-            }
-            "--json" => o.json = true,
-            "--deny-warnings" => o.deny_warnings = true,
-            "--warn" => {
-                i += 1;
-                o.config = o.config.warn(code_arg(args, i, "--warn")?);
-            }
-            "--deny" => {
-                i += 1;
-                o.config = o.config.deny(code_arg(args, i, "--deny")?);
-            }
-            "--allow" => {
-                i += 1;
-                o.config = o.config.allow(code_arg(args, i, "--allow")?);
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-        i += 1;
+const LINT: Cmd<LintOptions> = Cmd {
+    name: "lint",
+    operand: "FILE",
+    timed: false,
+    flags: &[
+        ("--arch", ARCH, |o, v| arch(v).map(|a| o.arch = a)),
+        ("--policy", POLICY, |o, v| policy(v).map(|p| o.policy = p)),
+        ("--json", "", |o, _| on(&mut o.json)),
+        ("--deny-warnings", "", |o, _| on(&mut o.deny_warnings)),
+        ("--warn", "CODE", |o, v| {
+            code(v).map(|c| o.config = std::mem::take(&mut o.config).warn(c))
+        }),
+        ("--deny", "CODE", |o, v| {
+            code(v).map(|c| o.config = std::mem::take(&mut o.config).deny(c))
+        }),
+        ("--allow", "CODE", |o, v| {
+            code(v).map(|c| o.config = std::mem::take(&mut o.config).allow(c))
+        }),
+    ],
+};
+
+const FUZZ: Cmd<sf_fuzz::FuzzOptions> = Cmd {
+    name: "fuzz",
+    operand: "",
+    timed: true,
+    flags: &[
+        ("--seeds", "N", |o, v| count(v).map(|n| o.seeds = n)),
+        ("--seed", "S", |o, v| seed(v).map(|s| o.seed0 = s)),
+        ("--minimize", "", minimize),
+        ("--corpus", "DIR", |o, v| {
+            path(v).map(|p| o.corpus_dir = Some(p))
+        }),
+        ("--faults", "K", |o, v| count(v).map(|n| o.faults = n)),
+        ("--arch", ARCH, |o, v| arch(v).map(|a| o.arch = a)),
+    ],
+};
+
+/// `--minimize` writes its repros to `tests/corpus` unless `--corpus`
+/// names another directory.
+fn minimize(o: &mut sf_fuzz::FuzzOptions, _: &str) -> Result<(), String> {
+    o.minimize = true;
+    o.corpus_dir.get_or_insert_with(|| "tests/corpus".into());
+    Ok(())
+}
+
+const FAULTSIM: Cmd<sf_fuzz::FaultSimOptions> = Cmd {
+    name: "faultsim",
+    operand: "",
+    timed: true,
+    flags: &[
+        ("--seeds", "N", |o, v| count(v).map(|n| o.seeds = n)),
+        ("--seed", "S", |o, v| seed(v).map(|s| o.seed0 = s)),
+        ("--faults", "K", |o, v| count(v).map(|n| o.plans = n)),
+        ("--arch", ARCH, |o, v| arch(v).map(|a| o.arch = a)),
+    ],
+};
+
+#[cfg(unix)]
+const SERVE: Cmd<ServeConfig> = Cmd {
+    name: "serve",
+    operand: "SOCKET",
+    timed: false,
+    flags: &[
+        ("--workers", "N", |o, v| positive(v).map(|n| o.workers = n)),
+        ("--queue-depth", "N", |o, v| {
+            positive(v).map(|n| o.queue_depth = n)
+        }),
+        ("--exec-threads", "N|max", |o, v| {
+            threads(v).map(|n| o.exec_threads = n)
+        }),
+        ("--snapshot", "FILE", |o, v| {
+            path(v).map(|p| o.snapshot_path = Some(p))
+        }),
+        ("--session-timeout-ms", "MS", |o, v| {
+            positive(v).map(|n| o.session_timeout_ms = n)
+        }),
+    ],
+};
+
+#[cfg(unix)]
+const CHAOS: Cmd<spacefusion::serve::chaos::ChaosOptions> = Cmd {
+    name: "chaos",
+    operand: "SOCKET",
+    timed: false,
+    flags: &[
+        ("--seeds", "N", |o, v| positive(v).map(|n| o.seeds = n)),
+        ("--seed", "S", |o, v| seed(v).map(|s| o.seed0 = s)),
+        ("--clients", "N", |o, v| positive(v).map(|n| o.clients = n)),
+        ("--requests", "N", |o, v| {
+            positive(v).map(|n| o.requests = n)
+        }),
+        ("--session-timeout-ms", "MS", |o, v| {
+            positive(v).map(|n| o.session_timeout_ms = n)
+        }),
+    ],
+};
+
+const PRINT: Cmd<()> = Cmd {
+    name: "print",
+    operand: "FILE",
+    timed: false,
+    flags: &[],
+};
+
+/// Every subcommand's usage line.
+fn usage() -> String {
+    let lines = [
+        COMPILE.usage(),
+        LINT.usage(),
+        FUZZ.usage(),
+        FAULTSIM.usage(),
+        #[cfg(unix)]
+        SERVE.usage(),
+        #[cfg(unix)]
+        CHAOS.usage(),
+        PRINT.usage(),
+    ];
+    format!("usage:\n  {}", lines.join("\n  "))
+}
+
+/// Reads and parses the graph FILE of `compile`, `lint` and `print`.
+fn load(file: &str) -> Result<Graph, String> {
+    let src = std::fs::read_to_string(file).map_err(|e| format!("cannot read {file}: {e}"))?;
+    parse_graph(&src).map_err(|e| format!("{file}: {e}"))
+}
+
+/// Appends `sink`'s per-pass timing table to `out` under `--timings`.
+fn with_timings(mut out: String, sink: &CollectingSink, timings: bool) -> String {
+    if timings {
+        let _ = writeln!(out, "\n{}", render_timings(&sink.events()).trim_end());
     }
-    Ok(o)
+    out
+}
+
+/// Runs one `sfc` command line (program name excluded).
+///
+/// Returns `(stdout, clean)`. `clean` is `false` when the command ran
+/// but found a problem: a lint error, a fuzz or faultsim failure, or a
+/// chaos hang, abort, mismatch or torn snapshot. `Err` is a bad command
+/// line (with usage) or a failed run. The `fuzz`, `faultsim` and `chaos`
+/// reports are deterministic for a given command line.
+pub fn run(args: &[String]) -> Result<(String, bool), String> {
+    let (cmd, rest) = args
+        .split_first()
+        .ok_or_else(|| format!("no command\n{}", usage()))?;
+    match cmd.as_str() {
+        "compile" => {
+            let (file, o, timings) = parse(&COMPILE, rest)?;
+            Ok((compile_report(&load(file)?, &o, timings)?, true))
+        }
+        "lint" => {
+            let (file, o, _) = parse(&LINT, rest)?;
+            lint_report(&load(file)?, &o)
+        }
+        "print" => {
+            let (file, (), _) = parse(&PRINT, rest)?;
+            Ok((print_graph(&load(file)?), true))
+        }
+        "fuzz" => {
+            let (_, o, timings) = parse(&FUZZ, rest)?;
+            let sink = CollectingSink::new();
+            let report = sf_fuzz::run_fuzz(&o, &sink);
+            Ok((with_timings(report.render(), &sink, timings), report.ok()))
+        }
+        "faultsim" => {
+            let (_, o, timings) = parse(&FAULTSIM, rest)?;
+            let sink = CollectingSink::new();
+            let report = sf_fuzz::run_faultsim(&o, &sink);
+            Ok((with_timings(report.render(), &sink, timings), report.ok()))
+        }
+        #[cfg(unix)]
+        "serve" => {
+            let (socket, config, _) = parse(&SERVE, rest)?;
+            Ok((serve(socket, config)?, true))
+        }
+        #[cfg(unix)]
+        "chaos" => {
+            let (socket, o, _) = parse(&CHAOS, rest)?;
+            let opts = spacefusion::serve::chaos::ChaosOptions {
+                socket: socket.into(),
+                ..o
+            };
+            let r = spacefusion::serve::chaos::run(&opts).map_err(|e| e.to_string())?;
+            let clean =
+                r.hangs == 0 && r.aborts == 0 && r.mismatches == 0 && r.snapshot_corruptions == 0;
+            Ok((r.text, clean))
+        }
+        #[cfg(not(unix))]
+        "serve" | "chaos" => Err(format!("{cmd} requires Unix-domain sockets")),
+        other => Err(format!("unknown command '{other}'\n{}", usage())),
+    }
+}
+
+/// Runs `sfc serve`: bind the socket, warm-start the schedule cache
+/// from the snapshot, and serve until a client sends `shutdown`.
+///
+/// Prints a banner once listening (so scripts can wait for readiness)
+/// and returns the final counter summary.
+#[cfg(unix)]
+fn serve(socket: &str, config: ServeConfig) -> Result<String, String> {
+    use std::io::Write as _;
+    let (workers, queue) = (config.workers, config.queue_depth);
+    let server =
+        spacefusion::serve::Server::bind(socket.as_ref(), config).map_err(|e| e.to_string())?;
+    let warm = server.core().stats();
+    println!(
+        "serve: listening on {socket} (workers {workers}, queue {queue}, warm_loaded {}, \
+         warm_evicted {})",
+        warm.warm_loaded, warm.warm_evicted
+    );
+    let _ = std::io::stdout().flush();
+    let stats = server.run().map_err(|e| e.to_string())?;
+    Ok(format!(
+        "serve: done; requests {} ok {} errors {} sheds {} compiles {} hits {} \
+         schedule_entries {} degradations {}\n",
+        stats.requests,
+        stats.ok,
+        stats.errors,
+        stats.sheds,
+        stats.program_compiles,
+        stats.program_hits,
+        stats.schedule_entries,
+        stats.degradations
+    ))
 }
 
 /// Runs `sfc lint`: compile `graph` and run the static verifier over the
 /// result.
 ///
 /// Returns `(report, clean)`; `clean` is `false` when any error-level
-/// diagnostic survives (or any warning under `--deny-warnings`), which
-/// `main` turns into a failing exit code.
+/// diagnostic survives (or any warning under `--deny-warnings`).
 pub fn lint_report(graph: &Graph, o: &LintOptions) -> Result<(String, bool), String> {
-    use std::fmt::Write as _;
-
     // Disable the in-pipeline verifier: lint collects the diagnostics
     // itself so it can render all of them instead of failing on the
     // first error.
@@ -199,74 +478,50 @@ pub fn lint_report(graph: &Graph, o: &LintOptions) -> Result<(String, bool), Str
     let diags = verify_program(&program.kernels, &program.arch, &o.config);
     let (errors, warnings) = counts(&diags);
     let clean = errors == 0 && (!o.deny_warnings || warnings == 0);
-
-    let mut out = String::new();
-    if o.json {
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"model\": \"{}\",", json_escape(graph.name()));
-        let _ = writeln!(out, "  \"arch\": \"{}\",", o.arch);
-        let _ = writeln!(out, "  \"kernels\": {},", program.kernels.len());
-        let _ = writeln!(out, "  \"errors\": {errors},");
-        let _ = writeln!(out, "  \"warnings\": {warnings},");
-        let _ = writeln!(
-            out,
-            "  \"degradations\": {},",
-            program.stats.degradations.len()
-        );
-        let _ = writeln!(
-            out,
-            "  \"lockfree_proven\": {},",
-            program
-                .kernels
-                .iter()
-                .filter(|k| k.disjoint.is_proven())
-                .count()
-        );
-        let _ = writeln!(
-            out,
-            "  \"serial_fallbacks\": {},",
-            program.stats.lockfree_fallbacks.len()
-        );
-        let _ = writeln!(out, "  \"clean\": {clean},");
-        let _ = writeln!(out, "  \"diagnostics\": [");
-        for (i, d) in diags.iter().enumerate() {
-            let comma = if i + 1 < diags.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"code\": \"{}\", \"severity\": \"{}\", \"kernel\": \"{}\", \
-                 \"span\": \"{}\", \"message\": \"{}\"}}{comma}",
-                d.code,
-                d.severity,
-                json_escape(&d.kernel),
-                json_escape(&d.span.to_string()),
-                json_escape(&d.message)
-            );
-        }
-        let _ = writeln!(out, "  ]");
-        let _ = writeln!(out, "}}");
-        return Ok((out, clean));
-    }
-
-    let _ = writeln!(
-        out,
-        "lint '{}' for {}: {} kernel(s), {} check(s)",
-        graph.name(),
-        o.arch,
-        program.kernels.len(),
-        DiagCode::all().len()
-    );
-    for step in &program.stats.degradations {
-        let _ = writeln!(out, "degraded {}", step.render());
-    }
+    let kernels = program.kernels.len();
     let proven = program
         .kernels
         .iter()
         .filter(|k| k.disjoint.is_proven())
         .count();
+
+    if o.json {
+        let n = |x: usize| Json::Num(x as f64);
+        let doc = Json::obj(vec![
+            ("model", Json::Str(graph.name().to_string())),
+            ("arch", Json::Str(o.arch.to_string())),
+            ("kernels", n(kernels)),
+            ("errors", n(errors)),
+            ("warnings", n(warnings)),
+            ("degradations", n(program.stats.degradations.len())),
+            ("lockfree_proven", n(proven)),
+            (
+                "serial_fallbacks",
+                n(program.stats.lockfree_fallbacks.len()),
+            ),
+            ("clean", Json::Bool(clean)),
+            (
+                "diagnostics",
+                Json::Arr(diags.iter().map(diagnostic_json).collect()),
+            ),
+        ]);
+        return Ok((doc.render() + "\n", clean));
+    }
+
+    let mut out = String::new();
     let _ = writeln!(
         out,
-        "disjointness: {proven}/{} kernel(s) proven lock-free",
-        program.kernels.len()
+        "lint '{}' for {}: {kernels} kernel(s), {} check(s)",
+        graph.name(),
+        o.arch,
+        DiagCode::all().len()
+    );
+    for step in &program.stats.degradations {
+        let _ = writeln!(out, "degraded {}", step.render());
+    }
+    let _ = writeln!(
+        out,
+        "disjointness: {proven}/{kernels} kernel(s) proven lock-free"
     );
     for (kernel, reason) in &program.stats.lockfree_fallbacks {
         let _ = writeln!(out, "serial-fallback {kernel}: {reason}");
@@ -295,410 +550,20 @@ pub fn lint_report(graph: &Graph, o: &LintOptions) -> Result<(String, bool), Str
     Ok((out, clean))
 }
 
-/// Parsed options of `sfc fuzz`.
-#[derive(Debug, Clone, Default)]
-pub struct FuzzOptions {
-    /// Campaign configuration handed to [`sf_fuzz::run_fuzz`].
-    pub fuzz: sf_fuzz::FuzzOptions,
-    /// Print the per-pass timing table after the report.
-    pub timings: bool,
+/// One `lint --json` diagnostic.
+fn diagnostic_json(d: &Diagnostic) -> Json {
+    Json::obj(vec![
+        ("code", Json::Str(d.code.to_string())),
+        ("severity", Json::Str(d.severity.to_string())),
+        ("kernel", Json::Str(d.kernel.clone())),
+        ("span", Json::Str(d.span.to_string())),
+        ("message", Json::Str(d.message.clone())),
+    ])
 }
 
-/// Parses `sfc fuzz` flags.
-pub fn parse_fuzz_options(args: &[String]) -> Result<FuzzOptions, String> {
-    let mut o = FuzzOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                o.fuzz.seeds = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seeds needs a count")?;
-            }
-            "--seed" => {
-                i += 1;
-                o.fuzz.seed0 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed needs a starting seed")?;
-            }
-            "--minimize" => o.fuzz.minimize = true,
-            "--corpus" => {
-                i += 1;
-                o.fuzz.corpus_dir = Some(
-                    args.get(i)
-                        .map(std::path::PathBuf::from)
-                        .ok_or("--corpus needs a directory")?,
-                );
-            }
-            "--arch" => {
-                i += 1;
-                o.fuzz.arch = arch_arg(args, i)?;
-            }
-            "--faults" => {
-                i += 1;
-                o.fuzz.faults = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--faults needs a plan count")?;
-            }
-            "--timings" => o.timings = true,
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-        i += 1;
-    }
-    if o.fuzz.minimize && o.fuzz.corpus_dir.is_none() {
-        o.fuzz.corpus_dir = Some(std::path::PathBuf::from("tests/corpus"));
-    }
-    Ok(o)
-}
-
-/// Parsed options of `sfc faultsim`.
-#[derive(Debug, Clone, Default)]
-pub struct FaultSimOptions {
-    /// Sweep configuration handed to [`sf_fuzz::run_faultsim`].
-    pub sim: sf_fuzz::FaultSimOptions,
-    /// Print the per-pass timing table after the report.
-    pub timings: bool,
-}
-
-/// Parses `sfc faultsim` flags.
-pub fn parse_faultsim_options(args: &[String]) -> Result<FaultSimOptions, String> {
-    let mut o = FaultSimOptions::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                o.sim.seeds = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seeds needs a count")?;
-            }
-            "--seed" => {
-                i += 1;
-                o.sim.seed0 = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed needs a starting seed")?;
-            }
-            "--faults" => {
-                i += 1;
-                o.sim.plans = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--faults needs a plan count")?;
-            }
-            "--arch" => {
-                i += 1;
-                o.sim.arch = arch_arg(args, i)?;
-            }
-            "--timings" => o.timings = true,
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(o)
-}
-
-/// Runs `sfc faultsim`: a deterministic fault-injection sweep proving
-/// that every injected fault (panic, cache poison, forced
-/// infeasibility, worker crash, deadline expiry) either recovers or
-/// degrades to output bit-identical to the unfused reference.
-///
-/// Returns `(report, clean)`; `clean` is `false` on any abort or
-/// bitwise divergence.
-pub fn faultsim_report(o: &FaultSimOptions) -> (String, bool) {
-    use std::fmt::Write as _;
-    let sink = Arc::new(CollectingSink::new());
-    let report = sf_fuzz::run_faultsim(&o.sim, sink.as_ref());
-    let mut out = report.render();
-    if o.timings {
-        let _ = writeln!(out, "\n{}", render_timings(&sink.events()).trim_end());
-    }
-    (out, report.ok())
-}
-
-/// Runs `sfc fuzz`: a differential fuzzing campaign over generated
-/// graphs (see `sf_fuzz`).
-///
-/// Returns `(report, clean)`; `clean` is `false` when any seed failed
-/// (compile error, verifier error, execution error, or divergence from
-/// the reference interpreter). The report text is deterministic for a
-/// given flag set: timings go only to the event sink, so two runs with
-/// the same `--seeds/--seed` produce byte-identical output.
-pub fn fuzz_report(o: &FuzzOptions) -> (String, bool) {
-    use std::fmt::Write as _;
-    let sink = Arc::new(CollectingSink::new());
-    let report = sf_fuzz::run_fuzz(&o.fuzz, sink.as_ref());
-    let mut out = report.render();
-    if o.timings {
-        let _ = writeln!(out, "\n{}", render_timings(&sink.events()).trim_end());
-    }
-    (out, report.ok())
-}
-
-/// Parsed options of `sfc serve`.
-#[derive(Debug, Clone)]
-pub struct ServeOptions {
-    /// Unix-domain socket path to listen on.
-    pub socket: std::path::PathBuf,
-    /// Compile worker threads.
-    pub workers: usize,
-    /// Bounded admission queue depth.
-    pub queue_depth: usize,
-    /// Execution threads per request (`0` = auto).
-    pub exec_threads: usize,
-    /// Schedule-cache snapshot file (loaded at start, saved at
-    /// shutdown).
-    pub snapshot: Option<std::path::PathBuf>,
-    /// Per-session socket read/write timeout, ms (stalled or idle
-    /// clients are reaped after this long).
-    pub session_timeout_ms: u64,
-}
-
-/// Parses `sfc serve SOCKET [flags]`.
-pub fn parse_serve_options(args: &[String]) -> Result<ServeOptions, String> {
-    let (socket, flags) = args
-        .split_first()
-        .ok_or("serve needs a socket path: sfc serve SOCKET [flags]")?;
-    if socket.starts_with("--") {
-        return Err(format!("serve needs a socket path, got flag '{socket}'"));
-    }
-    let mut o = ServeOptions {
-        socket: std::path::PathBuf::from(socket),
-        workers: 4,
-        queue_depth: 64,
-        exec_threads: 0,
-        snapshot: None,
-        session_timeout_ms: 30_000,
-    };
-    let mut i = 0;
-    while i < flags.len() {
-        match flags[i].as_str() {
-            "--workers" => {
-                i += 1;
-                o.workers = flags
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("--workers needs a positive count")?;
-            }
-            "--queue-depth" => {
-                i += 1;
-                o.queue_depth = flags
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("--queue-depth needs a positive count")?;
-            }
-            "--exec-threads" => {
-                i += 1;
-                o.exec_threads = match flags.get(i).map(|s| s.as_str()) {
-                    Some("max") => 0,
-                    Some(n) => n
-                        .parse()
-                        .map_err(|_| "--exec-threads needs a count or 'max'".to_string())?,
-                    None => return Err("--exec-threads needs a count or 'max'".into()),
-                };
-            }
-            "--snapshot" => {
-                i += 1;
-                o.snapshot = Some(
-                    flags
-                        .get(i)
-                        .map(std::path::PathBuf::from)
-                        .ok_or("--snapshot needs a file path")?,
-                );
-            }
-            "--session-timeout-ms" => {
-                i += 1;
-                o.session_timeout_ms = flags
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &u64| n > 0)
-                    .ok_or("--session-timeout-ms needs a positive count")?;
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(o)
-}
-
-/// Runs `sfc serve`: bind the socket, warm-start the schedule cache
-/// from the snapshot, and serve until a client sends `shutdown`.
-///
-/// Prints a banner once listening (so scripts can wait for readiness)
-/// and returns the final counter summary.
-#[cfg(unix)]
-pub fn serve_run(o: &ServeOptions) -> Result<String, String> {
-    use spacefusion::serve::{ServeConfig, Server};
-    use std::io::Write as _;
-    let config = ServeConfig {
-        workers: o.workers,
-        queue_depth: o.queue_depth,
-        exec_threads: o.exec_threads,
-        snapshot_path: o.snapshot.clone(),
-        session_timeout_ms: o.session_timeout_ms,
-        faults: None,
-    };
-    let server = Server::bind(&o.socket, config).map_err(|e| e.to_string())?;
-    let warm = server.core().stats();
-    println!(
-        "serve: listening on {} (workers {}, queue {}, warm_loaded {}, warm_evicted {})",
-        o.socket.display(),
-        o.workers,
-        o.queue_depth,
-        warm.warm_loaded,
-        warm.warm_evicted
-    );
-    let _ = std::io::stdout().flush();
-    let stats = server.run().map_err(|e| e.to_string())?;
-    Ok(format!(
-        "serve: done; requests {} ok {} errors {} sheds {} compiles {} hits {} \
-         schedule_entries {} degradations {}\n",
-        stats.requests,
-        stats.ok,
-        stats.errors,
-        stats.sheds,
-        stats.program_compiles,
-        stats.program_hits,
-        stats.schedule_entries,
-        stats.degradations
-    ))
-}
-
-/// Parsed options of `sfc chaos`.
-#[derive(Debug, Clone)]
-pub struct ChaosCliOptions {
-    /// Unix-domain socket path the per-seed daemons bind.
-    pub socket: std::path::PathBuf,
-    /// Number of seeded fault plans.
-    pub seeds: u64,
-    /// First seed.
-    pub seed0: u64,
-    /// Concurrent clients per seed.
-    pub clients: usize,
-    /// Requests per client per seed.
-    pub requests: usize,
-    /// Per-session watchdog timeout, ms.
-    pub session_timeout_ms: u64,
-}
-
-/// Parses `sfc chaos SOCKET [flags]`.
-pub fn parse_chaos_options(args: &[String]) -> Result<ChaosCliOptions, String> {
-    let (socket, flags) = args
-        .split_first()
-        .ok_or("chaos needs a socket path: sfc chaos SOCKET [flags]")?;
-    if socket.starts_with("--") {
-        return Err(format!("chaos needs a socket path, got flag '{socket}'"));
-    }
-    let mut o = ChaosCliOptions {
-        socket: std::path::PathBuf::from(socket),
-        seeds: 25,
-        seed0: 0,
-        clients: 3,
-        requests: 4,
-        session_timeout_ms: 200,
-    };
-    let mut i = 0;
-    while i < flags.len() {
-        match flags[i].as_str() {
-            "--seeds" => {
-                i += 1;
-                o.seeds = flags
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &u64| n > 0)
-                    .ok_or("--seeds needs a positive count")?;
-            }
-            "--seed" => {
-                i += 1;
-                o.seed0 = flags
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed needs a number")?;
-            }
-            "--clients" => {
-                i += 1;
-                o.clients = flags
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("--clients needs a positive count")?;
-            }
-            "--requests" => {
-                i += 1;
-                o.requests = flags
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("--requests needs a positive count")?;
-            }
-            "--session-timeout-ms" => {
-                i += 1;
-                o.session_timeout_ms = flags
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &u64| n > 0)
-                    .ok_or("--session-timeout-ms needs a positive count")?;
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-        i += 1;
-    }
-    Ok(o)
-}
-
-/// Runs `sfc chaos`: a seeded fault campaign against per-seed daemons.
-///
-/// Returns `(report, clean)`; `clean` is `false` on any hang, daemon
-/// abort, checksum mismatch, or snapshot corruption. The report is
-/// deterministic for a fixed seed range.
-#[cfg(unix)]
-pub fn chaos_report(o: &ChaosCliOptions) -> Result<(String, bool), String> {
-    use spacefusion::serve::chaos;
-    let report = chaos::run(&chaos::ChaosOptions {
-        socket: o.socket.clone(),
-        seeds: o.seeds,
-        seed0: o.seed0,
-        clients: o.clients,
-        requests: o.requests,
-        session_timeout_ms: o.session_timeout_ms,
-    })
-    .map_err(|e| e.to_string())?;
-    let clean = report.hangs == 0
-        && report.aborts == 0
-        && report.mismatches == 0
-        && report.snapshot_corruptions == 0;
-    Ok((report.text, clean))
-}
-
-/// Minimal JSON string escaping.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Runs `sfc compile`: compile, report, optionally verify and profile.
-///
-/// Returns the report text (also printed by `main`).
-pub fn compile_report(graph: &Graph, o: &Options) -> Result<String, String> {
-    use std::fmt::Write as _;
+/// Runs `sfc compile`: compile, report, optionally verify and profile;
+/// `timings` adds the per-pass timing table.
+pub fn compile_report(graph: &Graph, o: &Options, timings: bool) -> Result<String, String> {
     let mut out = String::new();
 
     let graph = if o.rewrite {
@@ -778,9 +643,7 @@ pub fn compile_report(graph: &Graph, o: &Options) -> Result<String, String> {
         let _ = writeln!(out, "  serial-fallback {kernel}: {reason}");
     }
 
-    if o.timings {
-        let _ = writeln!(out, "\n{}", render_timings(&sink.events()).trim_end());
-    }
+    let mut out = with_timings(out, &sink, timings);
 
     if o.emit {
         for kp in &program.kernels {
@@ -843,7 +706,7 @@ pub fn compile_report(graph: &Graph, o: &Options) -> Result<String, String> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::parser::parse_graph;
+    use spacefusion::serve::json;
 
     const LN: &str = "\
 graph ln f16
@@ -868,12 +731,12 @@ output y
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let o = parse_options(&args).unwrap();
+        let (o, _) = flags(&COMPILE, &args).unwrap();
         assert_eq!(o.arch, Arch::Hopper);
         assert_eq!(o.policy, FusionPolicy::MiOnly);
         assert!(o.profile);
-        assert!(parse_options(&["--bogus".to_string()]).is_err());
-        assert!(parse_options(&["--arch".to_string(), "mars".to_string()]).is_err());
+        assert!(flags(&COMPILE, &["--bogus".to_string()]).is_err());
+        assert!(flags(&COMPILE, &["--arch".to_string(), "mars".to_string()]).is_err());
     }
 
     #[test]
@@ -882,14 +745,18 @@ output y
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(parse_options(&args).unwrap().exec_threads, 4);
+        assert_eq!(flags(&COMPILE, &args).unwrap().0.exec_threads, 4);
         let args: Vec<String> = ["--exec-threads", "max"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(parse_options(&args).unwrap().exec_threads, 0);
-        assert!(parse_options(&["--exec-threads".to_string()]).is_err());
-        assert!(parse_options(&["--exec-threads".to_string(), "soon".to_string()]).is_err());
+        assert_eq!(flags(&COMPILE, &args).unwrap().0.exec_threads, 0);
+        assert!(flags(&COMPILE, &["--exec-threads".to_string()]).is_err());
+        assert!(flags(
+            &COMPILE,
+            &["--exec-threads".to_string(), "soon".to_string()]
+        )
+        .is_err());
     }
 
     #[test]
@@ -900,7 +767,7 @@ output y
             verify_seed: Some(3),
             ..Default::default()
         };
-        let report = compile_report(&g, &o).unwrap();
+        let report = compile_report(&g, &o, false).unwrap();
         assert!(report.contains("1 kernel(s)"));
         assert!(report.contains("verify(seed=3)"));
         assert!(report.contains("profile:"));
@@ -913,7 +780,7 @@ output y
             emit: true,
             ..Default::default()
         };
-        let report = compile_report(&g, &o).unwrap();
+        let report = compile_report(&g, &o, false).unwrap();
         assert!(report.contains("parallel_for block"));
         assert!(report.contains("store("));
     }
@@ -924,11 +791,7 @@ output y
         // even the fallback pass appears in the table.
         let wide = LN.replace("2048", "65536");
         let g = parse_graph(&wide).unwrap();
-        let o = Options {
-            timings: true,
-            ..Default::default()
-        };
-        let report = compile_report(&g, &o).unwrap();
+        let report = compile_report(&g, &Options::default(), true).unwrap();
         for pass in [
             "segment",
             "group",
@@ -948,6 +811,7 @@ output y
     }
 
     #[test]
+    #[cfg(unix)]
     fn serve_option_parsing() {
         let args: Vec<String> = [
             "/tmp/sfc.sock",
@@ -963,45 +827,55 @@ output y
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let o = parse_serve_options(&args).unwrap();
-        assert_eq!(o.socket, std::path::PathBuf::from("/tmp/sfc.sock"));
+        let (socket, o, _) = parse(&SERVE, &args).unwrap();
+        assert_eq!(socket, "/tmp/sfc.sock");
         assert_eq!(o.workers, 2);
         assert_eq!(o.queue_depth, 8);
         assert_eq!(o.exec_threads, 0);
         assert_eq!(
-            o.snapshot,
+            o.snapshot_path,
             Some(std::path::PathBuf::from("/tmp/cache.sfcache"))
         );
-        assert!(parse_serve_options(&[]).is_err(), "socket path required");
-        assert!(parse_serve_options(&["--workers".to_string()]).is_err());
+        assert!(parse(&SERVE, &[]).is_err(), "socket path required");
+        assert!(parse(&SERVE, &["--workers".to_string()]).is_err());
         assert!(
-            parse_serve_options(&[
-                "s.sock".to_string(),
-                "--workers".to_string(),
-                "0".to_string()
-            ])
+            parse(
+                &SERVE,
+                &[
+                    "s.sock".to_string(),
+                    "--workers".to_string(),
+                    "0".to_string()
+                ]
+            )
             .is_err(),
             "zero workers rejected"
         );
-        assert!(parse_serve_options(&["s.sock".to_string(), "--bogus".to_string()]).is_err());
+        assert!(parse(&SERVE, &["s.sock".to_string(), "--bogus".to_string()]).is_err());
         // Session timeout: defaults to 30 s, flag overrides, zero rejected.
         assert_eq!(o.session_timeout_ms, 30_000);
-        let o = parse_serve_options(&[
-            "s.sock".to_string(),
-            "--session-timeout-ms".to_string(),
-            "250".to_string(),
-        ])
+        let (_, o, _) = parse(
+            &SERVE,
+            &[
+                "s.sock".to_string(),
+                "--session-timeout-ms".to_string(),
+                "250".to_string(),
+            ],
+        )
         .unwrap();
         assert_eq!(o.session_timeout_ms, 250);
-        assert!(parse_serve_options(&[
-            "s.sock".to_string(),
-            "--session-timeout-ms".to_string(),
-            "0".to_string()
-        ])
+        assert!(parse(
+            &SERVE,
+            &[
+                "s.sock".to_string(),
+                "--session-timeout-ms".to_string(),
+                "0".to_string()
+            ]
+        )
         .is_err());
     }
 
     #[test]
+    #[cfg(unix)]
     fn chaos_option_parsing() {
         let args: Vec<String> = [
             "/tmp/sfc-chaos.sock",
@@ -1019,29 +893,28 @@ output y
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let o = parse_chaos_options(&args).unwrap();
-        assert_eq!(o.socket, std::path::PathBuf::from("/tmp/sfc-chaos.sock"));
+        let (socket, o, _) = parse(&CHAOS, &args).unwrap();
+        assert_eq!(socket, "/tmp/sfc-chaos.sock");
         assert_eq!(o.seeds, 50);
         assert_eq!(o.seed0, 7);
         assert_eq!(o.clients, 2);
         assert_eq!(o.requests, 3);
         assert_eq!(o.session_timeout_ms, 150);
         // Defaults.
-        let o = parse_chaos_options(&["c.sock".to_string()]).unwrap();
+        let (_, o, _) = parse(&CHAOS, &["c.sock".to_string()]).unwrap();
         assert_eq!(o.seeds, 25);
         assert_eq!(o.seed0, 0);
         assert_eq!(o.clients, 3);
         assert_eq!(o.requests, 4);
         assert_eq!(o.session_timeout_ms, 200);
-        assert!(parse_chaos_options(&[]).is_err(), "socket path required");
-        assert!(parse_chaos_options(&["--seeds".to_string()]).is_err());
-        assert!(parse_chaos_options(&[
-            "c.sock".to_string(),
-            "--seeds".to_string(),
-            "0".to_string()
-        ])
+        assert!(parse(&CHAOS, &[]).is_err(), "socket path required");
+        assert!(parse(&CHAOS, &["--seeds".to_string()]).is_err());
+        assert!(parse(
+            &CHAOS,
+            &["c.sock".to_string(), "--seeds".to_string(), "0".to_string()]
+        )
         .is_err());
-        assert!(parse_chaos_options(&["c.sock".to_string(), "--bogus".to_string()]).is_err());
+        assert!(parse(&CHAOS, &["c.sock".to_string(), "--bogus".to_string()]).is_err());
     }
 
     #[test]
@@ -1052,13 +925,13 @@ output y
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let o = parse_faultsim_options(&args).unwrap();
-        assert_eq!(o.sim.seeds, 12);
-        assert_eq!(o.sim.seed0, 3);
-        assert_eq!(o.sim.plans, 4);
-        assert_eq!(o.sim.arch, Arch::Volta);
-        assert!(parse_faultsim_options(&["--faults".to_string()]).is_err());
-        assert!(parse_faultsim_options(&["--bogus".to_string()]).is_err());
+        let (o, _) = flags(&FAULTSIM, &args).unwrap();
+        assert_eq!(o.seeds, 12);
+        assert_eq!(o.seed0, 3);
+        assert_eq!(o.plans, 4);
+        assert_eq!(o.arch, Arch::Volta);
+        assert!(flags(&FAULTSIM, &["--faults".to_string()]).is_err());
+        assert!(flags(&FAULTSIM, &["--bogus".to_string()]).is_err());
     }
 
     #[test]
@@ -1067,22 +940,18 @@ output y
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let o = parse_fuzz_options(&args).unwrap();
-        assert_eq!(o.fuzz.seeds, 5);
-        assert_eq!(o.fuzz.faults, 2);
+        let (o, _) = flags(&FUZZ, &args).unwrap();
+        assert_eq!(o.seeds, 5);
+        assert_eq!(o.faults, 2);
     }
 
     #[test]
     fn faultsim_report_runs_clean() {
-        let o = FaultSimOptions {
-            sim: sf_fuzz::FaultSimOptions {
-                seeds: 5,
-                plans: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let (report, clean) = faultsim_report(&o);
+        let args: Vec<String> = ["faultsim", "--seeds", "5", "--faults", "1"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let (report, clean) = run(&args).unwrap();
         assert!(clean, "{report}");
         assert!(report.contains("faultsim: 5 plan(s)"), "{report}");
         assert!(report.contains("0 abort(s)"), "{report}");
@@ -1103,7 +972,7 @@ output y
         .iter()
         .map(|s| s.to_string())
         .collect();
-        let o = parse_lint_options(&args).unwrap();
+        let (o, _) = flags(&LINT, &args).unwrap();
         assert_eq!(o.arch, Arch::Volta);
         assert!(o.json && o.deny_warnings);
         assert_eq!(o.config.levels.len(), 1);
@@ -1111,7 +980,7 @@ output y
             o.config.allowed,
             vec![spacefusion::verify::DiagCode::BndTileOutOfBounds]
         );
-        assert!(parse_lint_options(&["--warn".into(), "NOPE99".into()]).is_err());
+        assert!(flags(&LINT, &["--warn".into(), "NOPE99".into()]).is_err());
     }
 
     #[test]
@@ -1131,9 +1000,23 @@ output y
         };
         let (report, clean) = lint_report(&g, &o).unwrap();
         assert!(clean, "{report}");
-        assert!(report.contains("\"errors\": 0"), "{report}");
-        assert!(report.contains("\"clean\": true"), "{report}");
-        assert!(report.contains("\"diagnostics\": ["), "{report}");
+        let doc = json::parse(&report).unwrap();
+        assert_eq!(doc.get("model").and_then(Json::as_str), Some("ln"));
+        assert_eq!(doc.get("errors").and_then(Json::as_u64), Some(0));
+        assert_eq!(doc.get("clean").and_then(Json::as_bool), Some(true));
+        assert_eq!(doc.get("diagnostics").and_then(Json::as_arr), Some(&[][..]));
+        // A message with a quote, a backslash and a newline round-trips.
+        let d = Diagnostic::new(
+            DiagCode::BndTileOutOfBounds,
+            spacefusion::verify::Span::Kernel,
+            "tile \"t0\" at C:\\tmp\nsecond line",
+        );
+        let back = json::parse(&diagnostic_json(&d).render()).unwrap();
+        assert_eq!(
+            back.get("message").and_then(Json::as_str),
+            Some(&*d.message)
+        );
+        assert_eq!(back.get("code").and_then(Json::as_str), Some("BND402"));
     }
 
     #[test]
@@ -1143,7 +1026,7 @@ output y
             dot: true,
             ..Default::default()
         };
-        let report = compile_report(&g, &o).unwrap();
+        let report = compile_report(&g, &o, false).unwrap();
         assert!(report.starts_with("digraph"));
     }
 
@@ -1153,13 +1036,14 @@ output y
         // streaming form can be temporally sliced.
         let wide = LN.replace("2048", "65536");
         let g = parse_graph(&wide).unwrap();
-        let plain = compile_report(&g, &Options::default()).unwrap();
+        let plain = compile_report(&g, &Options::default(), false).unwrap();
         let rewritten = compile_report(
             &g,
             &Options {
                 rewrite: true,
                 ..Default::default()
             },
+            false,
         )
         .unwrap();
         // Unrewritten: the fused region does not fit on chip and the

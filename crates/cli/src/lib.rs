@@ -1,7 +1,7 @@
 //! Library backing the `sfc` command-line tool.
 //!
-//! * [`parser`] — a small textual DSL for operator graphs, so fusion
-//!   experiments don't require writing Rust:
+//! Graphs are written in a small textual DSL (parsed and printed by
+//! [`sf_ir::dsl`]), so fusion experiments don't require writing Rust:
 //!
 //! ```text
 //! graph softmax f16
@@ -14,19 +14,14 @@
 //! output out
 //! ```
 //!
-//! * [`printer`] — the inverse: render any [`sf_ir::Graph`] back to the
-//!   DSL (round-trips through the parser).
-//! * [`driver`] — the `compile` / `explain` subcommands used by
-//!   `src/main.rs`.
+//! [`driver`] holds the subcommands (`compile`, `lint`, `print`, `fuzz`,
+//! `faultsim`, `serve`, `chaos`) and the one dispatcher `src/main.rs`
+//! calls.
 
 // The no-new-unwrap gate (see crates/core/src/lib.rs): the driver backs
 // a long-running daemon (`sfc serve`), where a stray panic is an
 // outage. Test modules opt back in locally with `#[allow]`.
 #[deny(clippy::unwrap_used, clippy::expect_used)]
 pub mod driver;
-pub mod parser;
-#[deny(clippy::unwrap_used, clippy::expect_used)]
-pub mod printer;
 
-pub use parser::{parse_graph, ParseError};
-pub use printer::print_graph;
+pub use sf_ir::dsl::{parse_graph, print_graph, ParseError};

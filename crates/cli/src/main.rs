@@ -1,209 +1,32 @@
 //! `sfc` — the SpaceFusion command-line compiler.
 //!
 //! ```text
-//! sfc compile FILE [--arch volta|ampere|hopper]
-//!                  [--policy spacefusion|unfused|epilogue|mi-only|tile-graph]
-//!                  [--dot] [--profile] [--verify SEED] [--rewrite]
-//!                  [--emit] [--timings] [--exec-threads N|max]
-//! sfc lint FILE    [--arch ...] [--policy ...] [--json] [--deny-warnings]
-//!                  [--warn CODE] [--deny CODE] [--allow CODE]
-//! sfc fuzz         [--seeds N] [--seed S] [--minimize] [--corpus DIR]
-//!                  [--faults K] [--arch ...] [--timings]
-//! sfc faultsim     [--seeds N] [--seed S] [--faults K] [--arch ...]
-//!                  [--timings]
-//! sfc serve SOCKET [--workers N] [--queue-depth N]
-//!                  [--exec-threads N|max] [--snapshot FILE]
-//!                  [--session-timeout-ms MS]
-//! sfc chaos SOCKET [--seeds N] [--seed S] [--clients N]
-//!                  [--requests N] [--session-timeout-ms MS]
-//! sfc print FILE       # parse and pretty-print back to the DSL
+//! sfc <compile|lint|print> FILE [flags]
+//! sfc <fuzz|faultsim> [flags]
+//! sfc <serve|chaos> SOCKET [flags]
 //! ```
+//!
+//! Each subcommand's flags, with their metavariables, are one table in
+//! `driver.rs`; a bad command line prints the usage rendered from those
+//! tables.
 
-use sf_cli::driver::{
-    compile_report, faultsim_report, fuzz_report, lint_report, parse_chaos_options,
-    parse_faultsim_options, parse_fuzz_options, parse_lint_options, parse_options,
-    parse_serve_options,
-};
-use sf_cli::{parse_graph, print_graph};
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let usage = "usage: sfc <compile|lint|fuzz|faultsim|serve|chaos|print> [FILE|SOCKET] [flags] \
-                 (see --help in README)";
-    let (cmd, rest) = match args.split_first() {
-        Some((c, r)) => (c.as_str(), r),
-        None => {
-            eprintln!("{usage}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if cmd == "fuzz" {
-        // `fuzz` generates its own graphs: no FILE argument.
-        let opts = match parse_fuzz_options(rest) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("sfc: {e}");
-                return ExitCode::FAILURE;
+    match sf_cli::driver::run(&args) {
+        Ok((report, clean)) => {
+            print!("{report}");
+            if clean {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
             }
-        };
-        let (report, clean) = fuzz_report(&opts);
-        print!("{report}");
-        return if clean {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if cmd == "faultsim" {
-        // `faultsim` generates its own graphs: no FILE argument.
-        let opts = match parse_faultsim_options(rest) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("sfc: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let (report, clean) = faultsim_report(&opts);
-        print!("{report}");
-        return if clean {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
-    if cmd == "serve" {
-        // `serve` takes a socket path, not a graph FILE.
-        let opts = match parse_serve_options(rest) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("sfc: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        #[cfg(unix)]
-        {
-            return match sf_cli::driver::serve_run(&opts) {
-                Ok(report) => {
-                    print!("{report}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("sfc: {e}");
-                    ExitCode::FAILURE
-                }
-            };
         }
-        #[cfg(not(unix))]
-        {
-            let _ = opts;
-            eprintln!("sfc: serve requires Unix-domain sockets");
-            return ExitCode::FAILURE;
-        }
-    }
-    if cmd == "chaos" {
-        // `chaos` takes a socket path, not a graph FILE.
-        let opts = match parse_chaos_options(rest) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("sfc: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        #[cfg(unix)]
-        {
-            return match sf_cli::driver::chaos_report(&opts) {
-                Ok((report, clean)) => {
-                    print!("{report}");
-                    if clean {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => {
-                    eprintln!("sfc: {e}");
-                    ExitCode::FAILURE
-                }
-            };
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = opts;
-            eprintln!("sfc: chaos requires Unix-domain sockets");
-            return ExitCode::FAILURE;
-        }
-    }
-    let (file, flags) = match rest.split_first() {
-        Some((f, fl)) => (f, fl.to_vec()),
-        None => {
-            eprintln!("{usage}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let src = match std::fs::read_to_string(file) {
-        Ok(s) => s,
         Err(e) => {
-            eprintln!("sfc: cannot read {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let graph = match parse_graph(&src) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("sfc: {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match cmd {
-        "print" => {
-            print!("{}", print_graph(&graph));
-            ExitCode::SUCCESS
-        }
-        "compile" => {
-            let opts = match parse_options(&flags) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("sfc: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match compile_report(&graph, &opts) {
-                Ok(report) => {
-                    print!("{report}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("sfc: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "lint" => {
-            let opts = match parse_lint_options(&flags) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("sfc: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            match lint_report(&graph, &opts) {
-                Ok((report, clean)) => {
-                    print!("{report}");
-                    if clean {
-                        ExitCode::SUCCESS
-                    } else {
-                        ExitCode::FAILURE
-                    }
-                }
-                Err(e) => {
-                    eprintln!("sfc: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        other => {
-            eprintln!("sfc: unknown command '{other}'\n{usage}");
+            eprintln!("sfc: {e}");
             ExitCode::FAILURE
         }
     }

@@ -69,7 +69,7 @@ pub fn plan_seed(seed: u64, k: usize) -> u64 {
 }
 
 /// Outcome of one fault plan against one graph.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlanOutcome {
     /// Graph seed.
     pub seed: u64,
@@ -196,16 +196,9 @@ fn run_plan(
     let mut outcome = PlanOutcome {
         seed,
         plan_seed,
-        fired: Vec::new(),
-        degraded: Vec::new(),
-        failures: Vec::new(),
+        ..Default::default()
     };
-    let fault_failure = |detail: String| Failure {
-        kind: FailureKind::Fault,
-        policy: None,
-        threads: None,
-        detail,
-    };
+    let fault_failure = |detail: String| Failure::new(FailureKind::Fault, detail);
 
     // Compile twice in one session: round 0 trips schedule-stage
     // faults and may publish a poisoned cache entry; round 1 must
@@ -249,28 +242,40 @@ fn run_plan(
     outcome
 }
 
+/// The per-graph sweep: computes the unfused reference once, then runs
+/// plans `0..plans` against it, returning each outcome with its wall time
+/// in µs. `Err` is a failed reference execution.
+fn sweep_graph(
+    graph: &Graph,
+    seed: u64,
+    plans: usize,
+    arch: Arch,
+) -> Result<Vec<(PlanOutcome, f64)>, Failure> {
+    let bindings = graph.random_bindings(seed);
+    let reference = graph.execute(&bindings).map_err(|e| {
+        Failure::new(
+            FailureKind::Reference,
+            format!("reference execution failed: {e}"),
+        )
+    })?;
+    Ok((0..plans)
+        .map(|k| {
+            let start = Instant::now();
+            let outcome = run_plan(graph, &bindings, &reference, seed, plan_seed(seed, k), arch);
+            (outcome, start.elapsed().as_secs_f64() * 1e6)
+        })
+        .collect())
+}
+
 /// Runs `plans` fault plans against one prebuilt graph, returning only
 /// the hard failures. This is the hook `sfc fuzz --faults` uses to add
 /// fault coverage to each oracle seed.
 pub fn run_fault_plans(graph: &Graph, seed: u64, plans: usize, arch: Arch) -> Vec<Failure> {
     silence_injected_panics();
-    let bindings = graph.random_bindings(seed);
-    let reference = match graph.execute(&bindings) {
-        Ok(r) => r,
-        Err(e) => {
-            return vec![Failure {
-                kind: FailureKind::Reference,
-                policy: None,
-                threads: None,
-                detail: format!("reference execution failed: {e}"),
-            }]
-        }
-    };
-    (0..plans)
-        .flat_map(|k| {
-            run_plan(graph, &bindings, &reference, seed, plan_seed(seed, k), arch).failures
-        })
-        .collect()
+    match sweep_graph(graph, seed, plans, arch) {
+        Ok(runs) => runs.into_iter().flat_map(|(o, _)| o.failures).collect(),
+        Err(f) => vec![f],
+    }
 }
 
 /// Runs a fault-injection sweep, emitting one [`PassId::FaultSim`]
@@ -285,56 +290,30 @@ pub fn run_faultsim(opts: &FaultSimOptions, sink: &dyn EventSink) -> FaultSimRep
         outcomes: Vec::new(),
     };
     for seed in opts.seed0..opts.seed0.saturating_add(opts.seeds) {
-        let spec = generate(seed, &opts.gen);
-        let graph = match spec.build() {
-            Ok(g) => g,
-            Err(e) => {
+        let runs = generate(seed, &opts.gen)
+            .build()
+            .map_err(|e| Failure::new(FailureKind::Reference, format!("spec failed to build: {e}")))
+            .and_then(|graph| sweep_graph(&graph, seed, opts.plans, opts.arch));
+        let runs = match runs {
+            Ok(runs) => runs,
+            Err(f) => {
                 report.outcomes.push(PlanOutcome {
                     seed,
-                    plan_seed: 0,
-                    fired: Vec::new(),
-                    degraded: Vec::new(),
-                    failures: vec![Failure {
-                        kind: FailureKind::Reference,
-                        policy: None,
-                        threads: None,
-                        detail: format!("spec failed to build: {e}"),
-                    }],
+                    failures: vec![f],
+                    ..Default::default()
                 });
                 continue;
             }
         };
-        let bindings = graph.random_bindings(seed);
-        let reference = match graph.execute(&bindings) {
-            Ok(r) => r,
-            Err(e) => {
-                report.outcomes.push(PlanOutcome {
-                    seed,
-                    plan_seed: 0,
-                    fired: Vec::new(),
-                    degraded: Vec::new(),
-                    failures: vec![Failure {
-                        kind: FailureKind::Reference,
-                        policy: None,
-                        threads: None,
-                        detail: format!("reference execution failed: {e}"),
-                    }],
-                });
-                continue;
-            }
-        };
-        for k in 0..opts.plans {
-            let start = Instant::now();
-            let ps = plan_seed(seed, k);
-            let outcome = run_plan(&graph, &bindings, &reference, seed, ps, opts.arch);
+        for (k, (outcome, duration_us)) in runs.into_iter().enumerate() {
             sink.record(PassEvent {
                 pass: PassId::FaultSim,
                 segment: 0,
                 unit: format!("fs{seed}p{k}"),
-                duration_us: start.elapsed().as_secs_f64() * 1e6,
+                duration_us,
                 detail: EventDetail::FaultSim {
                     seed,
-                    plan_seed: ps,
+                    plan_seed: outcome.plan_seed,
                     fired: outcome.fired.len(),
                     degraded: outcome.degraded.len(),
                     failures: outcome.failures.len(),
@@ -404,14 +383,10 @@ mod tests {
                 seed, plan_seed, ..
             } => {
                 assert_eq!(*seed, 11);
-                assert_eq!(*plan_seed, plan_seed_check(11, 0));
+                assert_eq!(*plan_seed, super::plan_seed(11, 0));
             }
             d => panic!("wrong detail {d:?}"),
         }
-    }
-
-    fn plan_seed_check(seed: u64, k: usize) -> u64 {
-        plan_seed(seed, k)
     }
 
     #[test]

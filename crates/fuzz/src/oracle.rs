@@ -107,6 +107,16 @@ pub struct Failure {
 }
 
 impl Failure {
+    /// A failure tied to no policy or thread count.
+    pub fn new(kind: FailureKind, detail: impl Into<String>) -> Self {
+        Failure {
+            kind,
+            policy: None,
+            threads: None,
+            detail: detail.into(),
+        }
+    }
+
     /// Stable one-line rendering.
     pub fn render(&self) -> String {
         let mut s = self.kind.label().to_string();
@@ -191,12 +201,9 @@ pub fn run_oracle(graph: &Graph, opts: &OracleOptions) -> OracleReport {
     let reference = match graph.execute(&bindings) {
         Ok(r) => r,
         Err(e) => {
-            report.failures.push(Failure {
-                kind: FailureKind::Reference,
-                policy: None,
-                threads: None,
-                detail: e.to_string(),
-            });
+            report
+                .failures
+                .push(Failure::new(FailureKind::Reference, e.to_string()));
             return report;
         }
     };

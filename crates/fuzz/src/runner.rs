@@ -8,7 +8,7 @@
 
 use crate::corpus;
 use crate::gen::{generate, GenConfig, GraphSpec};
-use crate::oracle::{run_oracle, OracleOptions, OracleReport, POLICIES};
+use crate::oracle::{run_oracle, Failure, FailureKind, OracleOptions, OracleReport, POLICIES};
 use crate::shrink::shrink;
 use sf_gpu_sim::Arch;
 use spacefusion::pipeline::{EventDetail, EventSink, PassEvent, PassId};
@@ -169,12 +169,10 @@ pub fn run_fuzz(opts: &FuzzOptions, sink: &dyn EventSink) -> FuzzReport {
                 let r = match graph.validate() {
                     Ok(()) => run_oracle(graph, &oopts),
                     Err(e) => OracleReport {
-                        failures: vec![crate::oracle::Failure {
-                            kind: crate::oracle::FailureKind::Reference,
-                            policy: None,
-                            threads: None,
-                            detail: format!("generated graph is invalid: {e}"),
-                        }],
+                        failures: vec![Failure::new(
+                            FailureKind::Reference,
+                            format!("generated graph is invalid: {e}"),
+                        )],
                         ..Default::default()
                     },
                 };
@@ -183,12 +181,10 @@ pub fn run_fuzz(opts: &FuzzOptions, sink: &dyn EventSink) -> FuzzReport {
             Err(e) => (
                 0,
                 OracleReport {
-                    failures: vec![crate::oracle::Failure {
-                        kind: crate::oracle::FailureKind::Reference,
-                        policy: None,
-                        threads: None,
-                        detail: format!("spec failed to build: {e}"),
-                    }],
+                    failures: vec![Failure::new(
+                        FailureKind::Reference,
+                        format!("spec failed to build: {e}"),
+                    )],
                     ..Default::default()
                 },
             ),
