@@ -3,8 +3,8 @@
 use crate::handtuned;
 use sf_gpu_sim::Arch;
 use sf_ir::{Graph, OpKind};
-use spacefusion::compiler::{CompileOptions, CompiledProgram, Compiler, FusionPolicy};
 use spacefusion::Result;
+use spacefusion::{CompileOptions, CompileSession, CompiledProgram, FusionPolicy};
 
 /// Per-kernel dispatch cost of eager-mode PyTorch, µs.
 ///
@@ -81,13 +81,17 @@ impl Engine {
                     policy: FusionPolicy::Unfused,
                     ..Default::default()
                 };
-                Compiler::new_with_config(cfg, opts).compile(graph)
+                CompileSession::with_config(cfg, opts).compile(graph)
             }
             Engine::SpaceFusion => {
-                Compiler::with_policy(arch, FusionPolicy::SpaceFusion).compile(graph)
+                CompileSession::with_policy(arch, FusionPolicy::SpaceFusion).compile(graph)
             }
-            Engine::BladeDisc => Compiler::with_policy(arch, FusionPolicy::MiOnly).compile(graph),
-            Engine::NnFusion => Compiler::with_policy(arch, FusionPolicy::TileGraph).compile(graph),
+            Engine::BladeDisc => {
+                CompileSession::with_policy(arch, FusionPolicy::MiOnly).compile(graph)
+            }
+            Engine::NnFusion => {
+                CompileSession::with_policy(arch, FusionPolicy::TileGraph).compile(graph)
+            }
             Engine::TensorRt => {
                 if is_attention(graph) {
                     // TensorRT ships a hand-fused multi-head attention
@@ -96,7 +100,7 @@ impl Engine {
                 } else if is_row_norm(graph) {
                     handtuned::pytorch_op_layernorm(arch, graph)
                 } else {
-                    Compiler::with_policy(arch, FusionPolicy::EpilogueOnly).compile(graph)
+                    CompileSession::with_policy(arch, FusionPolicy::EpilogueOnly).compile(graph)
                 }
             }
             Engine::Kernl => {
@@ -105,7 +109,7 @@ impl Engine {
                 } else if is_row_norm(graph) {
                     handtuned::triton_layernorm(arch, graph)
                 } else {
-                    Compiler::with_policy(arch, FusionPolicy::Unfused).compile(graph)
+                    CompileSession::with_policy(arch, FusionPolicy::Unfused).compile(graph)
                 }
             }
         }

@@ -8,9 +8,9 @@
 
 use sf_gpu_sim::Arch;
 use sf_ir::Graph;
-use spacefusion::compiler::{CompileOptions, CompiledProgram, Compiler, FusionPolicy};
 use spacefusion::sched::SlicingOptions;
 use spacefusion::Result;
+use spacefusion::{CompileOptions, CompileSession, CompiledProgram, FusionPolicy};
 
 /// Compiles `graph` as a single fused kernel with pinned block sizes.
 ///
@@ -36,7 +36,7 @@ pub fn compile_fixed(
         alpha: 0.25,
         ..Default::default()
     };
-    Compiler::new(arch, opts).compile(graph)
+    CompileSession::new(arch, opts).compile(graph)
 }
 
 /// FlashAttention (v1) CUDA kernel: 64×64 tiles, online softmax.

@@ -14,8 +14,8 @@ use sf_baselines::Engine;
 use sf_gpu_sim::Arch;
 use sf_ir::Graph;
 use sf_models::{TransformerConfig, Workload};
-use spacefusion::compiler::{CompiledProgram, Compiler};
 use spacefusion::Result;
+use spacefusion::{CompileSession, CompiledProgram};
 use std::fmt::{Display, Write as _};
 
 /// How many batch instances the profiler replays in detail; the rest are
@@ -68,8 +68,8 @@ pub fn model_us(
 /// sequence (bare CUDA launches, no eager-mode dispatch) — the cuBLAS
 /// baseline of Fig. 11.
 pub fn library_unfused_us(arch: Arch, graph: &Graph) -> Result<f64> {
-    use spacefusion::compiler::FusionPolicy;
-    let program = Compiler::with_policy(arch, FusionPolicy::Unfused).compile(graph)?;
+    use spacefusion::FusionPolicy;
+    let program = CompileSession::with_policy(arch, FusionPolicy::Unfused).compile(graph)?;
     Ok(profiled_us(&program))
 }
 

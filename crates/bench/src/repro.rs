@@ -18,14 +18,15 @@ use sf_gpu_sim::Arch;
 use sf_ir::Graph;
 use sf_models::{all_models, bert, subgraphs, t5, vit, vit_seq_for_image, TransformerConfig};
 use spacefusion::codegen::{estimate_cost, KernelProgram};
-use spacefusion::compiler::{CompileOptions, CompiledProgram, Compiler, FusionPolicy};
-use spacefusion::pipeline::CompileSession;
+use spacefusion::pipeline::{CollectingSink, PassId};
 use spacefusion::rewrite::streaming_variance;
 use spacefusion::sched::{resource_aware_slicing, SlicingOptions};
 use spacefusion::smg::build_smg;
 use spacefusion::tune::tune;
+use spacefusion::{CompileOptions, CompileSession, CompiledProgram, FusionPolicy};
 use std::collections::HashSet;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The clock an artefact's numbers come from.
@@ -408,7 +409,7 @@ fn fig15(out: &mut String, quick: bool) {
         // (bare launches); LN/MHA baselines are eager PyTorch, as in the
         // paper.
         let unfused = if label.starts_with("MLP") {
-            Compiler::with_policy(arch, FusionPolicy::Unfused)
+            CompileSession::with_policy(arch, FusionPolicy::Unfused)
                 .compile(graph)
                 .expect("cublas")
         } else {
@@ -665,17 +666,27 @@ fn table4(out: &mut String, _quick: bool) {
     );
     for (batch, seq) in [(32usize, 1024usize), (32, 256)] {
         let g = subgraphs::mha(batch, 16, seq, 64);
-        let compiler = Compiler::new(Arch::Ampere, CompileOptions::default());
-        let program = compiler.compile(&g).expect("compile");
+        let sink = Arc::new(CollectingSink::new());
+        let session =
+            CompileSession::new(Arch::Ampere, CompileOptions::default()).with_sink(sink.clone());
+        let program = session.compile(&g).expect("compile");
+        let events = sink.events();
+        let pass_us = |pass: PassId| -> f64 {
+            events
+                .iter()
+                .filter(|e| e.pass == pass)
+                .map(|e| e.duration_us)
+                .sum()
+        };
         let s = &program.stats;
         let _ = writeln!(
             out,
             "{:<16} {:>15.2} µs {:>9.2} µs {:>15.2} µs {:>9.2} µs {:>9.2} µs",
             format!("MHA({batch},{seq})"),
-            s.temporal_us,
-            s.enum_us,
-            s.spatial_us,
-            s.tune_us,
+            pass_us(PassId::TemporalSlice),
+            pass_us(PassId::EnumCfg),
+            pass_us(PassId::SpatialSlice),
+            pass_us(PassId::Tune),
             s.total_us
         );
         let _ = writeln!(
@@ -857,11 +868,11 @@ fn rewrite_ablation(out: &mut String, quick: bool) {
     let mut kernels_row = Vec::new();
     for &n in &sizes {
         let g = subgraphs::layernorm(1024, n);
-        let base = Compiler::with_policy(arch, FusionPolicy::SpaceFusion)
+        let base = CompileSession::with_policy(arch, FusionPolicy::SpaceFusion)
             .compile(&g)
             .expect("base compile");
         let r = streaming_variance(&g).expect("pattern");
-        let rw = Compiler::with_policy(arch, FusionPolicy::SpaceFusion)
+        let rw = CompileSession::with_policy(arch, FusionPolicy::SpaceFusion)
             .compile(&r)
             .expect("rewritten compile");
         base_row.push(profiled_us(&base));

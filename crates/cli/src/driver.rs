@@ -9,7 +9,6 @@
 use sf_gpu_sim::Arch;
 use sf_ir::dsl::{parse_graph, print_graph};
 use sf_ir::Graph;
-use spacefusion::compiler::{CompileOptions, FusionPolicy};
 use spacefusion::pipeline::{render_timings, CollectingSink, CompileSession};
 use spacefusion::sched::OpRole;
 use spacefusion::serve::json::Json;
@@ -17,6 +16,7 @@ use spacefusion::serve::ServeConfig;
 use spacefusion::slicer::AggKind;
 use spacefusion::smg::build_smg;
 use spacefusion::verify::{counts, verify_program, DiagCode, Diagnostic, VerifyConfig};
+use spacefusion::{CompileOptions, FusionPolicy};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::str::FromStr;

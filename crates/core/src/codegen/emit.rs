@@ -180,7 +180,7 @@ fn expr(kp: &KernelProgram, oi: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::{Compiler, FusionPolicy};
+    use crate::pipeline::{CompileSession, FusionPolicy};
     use sf_gpu_sim::Arch;
     use sf_ir::Graph;
     use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
@@ -215,9 +215,9 @@ mod tests {
         // Pin the paper's serial Fig. 7 rendering: split-K would
         // legitimately partition this deep-KV loop, which the split
         // pseudo-code test covers instead.
-        let mut opts = crate::compiler::CompileOptions::default();
+        let mut opts = crate::pipeline::CompileOptions::default();
         opts.slicing.enable_split = false;
-        let p = Compiler::new(Arch::Volta, opts).compile(&g).unwrap();
+        let p = CompileSession::new(Arch::Volta, opts).compile(&g).unwrap();
         let code = emit_pseudocode(&p.kernels[0]);
         // The paper's Fig. 7 structure: parallel blocks, an intra-block
         // loop, UTA update functions for Sum and Out.
@@ -232,7 +232,7 @@ mod tests {
     #[test]
     fn flat_kernel_pseudocode_has_no_loop() {
         let g = mha(64);
-        let p = Compiler::with_policy(Arch::Hopper, FusionPolicy::SpaceFusion)
+        let p = CompileSession::with_policy(Arch::Hopper, FusionPolicy::SpaceFusion)
             .compile(&g)
             .unwrap();
         let kp = &p.kernels[0];
@@ -261,7 +261,7 @@ mod tests {
         let out = g.gemm(d, v, false).unwrap();
         g.rename_value(out, "Out");
         g.mark_output(out);
-        let p = Compiler::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion)
+        let p = CompileSession::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion)
             .compile(&g)
             .unwrap();
         let kp = &p.kernels[0];
@@ -293,7 +293,7 @@ mod tests {
         let z = g.reduce(ReduceOp::Sum, e, 1).unwrap();
         let d = g.binary(BinaryOp::Div, e, z).unwrap();
         g.mark_output(d);
-        let p = Compiler::with_policy(Arch::Volta, FusionPolicy::SpaceFusion)
+        let p = CompileSession::with_policy(Arch::Volta, FusionPolicy::SpaceFusion)
             .compile(&g)
             .unwrap();
         let kp = &p.kernels[0];

@@ -430,7 +430,7 @@ pub(crate) fn lower_stores(kp: &KernelProgram) -> Vec<Instr> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::{Compiler, FusionPolicy};
+    use crate::pipeline::{CompileSession, FusionPolicy};
     use sf_gpu_sim::Arch;
     use sf_ir::Graph;
     use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
@@ -455,7 +455,7 @@ mod tests {
     #[test]
     fn temporal_mha_lowers_to_loop_with_barriers() {
         let g = mha(8192);
-        let p = Compiler::with_policy(Arch::Volta, FusionPolicy::SpaceFusion)
+        let p = CompileSession::with_policy(Arch::Volta, FusionPolicy::SpaceFusion)
             .compile(&g)
             .unwrap();
         let instrs = lower_instructions(&p.kernels[0]);
@@ -479,7 +479,7 @@ mod tests {
     #[test]
     fn flat_kernel_has_no_loop_markers() {
         let g = mha(64);
-        let p = Compiler::with_policy(Arch::Hopper, FusionPolicy::SpaceFusion)
+        let p = CompileSession::with_policy(Arch::Hopper, FusionPolicy::SpaceFusion)
             .compile(&g)
             .unwrap();
         let kp = &p.kernels[0];

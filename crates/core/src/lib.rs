@@ -20,9 +20,10 @@
 //!   (performance). This substitutes for the paper's Triton backend.
 //! * [`tune`] — block-size auto-tuning over the enumerated search space
 //!   with the paper's early-quit mechanism (§6.5).
-//! * [`pipeline`] — the end-to-end pipeline of Fig. 9 as explicit named
-//!   passes over a [`pipeline::CompileSession`]: a shared thread-safe
-//!   schedule cache (repetitive subprograms compile once, across
+//! * [`pipeline`] — the end-to-end pipeline of Fig. 9: a
+//!   [`CompileSession`] is the one way to compile, calling the
+//!   segment, group, schedule, emit and verify stages in order over a
+//!   shared thread-safe schedule cache (repetitive subprograms compile once, across
 //!   threads), concurrent scheduling of independent fusion groups with
 //!   deterministic merge order, structured instrumentation events
 //!   ([`pipeline::PassEvent`]) delivered to a pluggable
@@ -34,8 +35,6 @@
 //!   feeding [`SfError::Internal`], compilation [`resilience::Deadline`]
 //!   budgets, and the deterministic fault-injection harness behind
 //!   `sfc faultsim`.
-//! * [`compiler`] — the thin convenience facade over [`pipeline`]:
-//!   `Compiler::new(arch, opts).compile(&graph)`.
 //!
 //! # Quickstart
 //!
@@ -44,7 +43,7 @@
 //! use sf_gpu_sim::Arch;
 //! use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
 //! use sf_tensor::{DType, Shape};
-//! use spacefusion::compiler::{CompileOptions, Compiler};
+//! use spacefusion::{CompileOptions, CompileSession};
 //!
 //! // Build a softmax subprogram.
 //! let mut g = Graph::new("softmax", DType::F16);
@@ -57,8 +56,8 @@
 //! g.mark_output(d);
 //!
 //! // Compile for A100 and check it fused into a single kernel.
-//! let compiler = Compiler::new(Arch::Ampere, CompileOptions::default());
-//! let program = compiler.compile(&g).unwrap();
+//! let session = CompileSession::new(Arch::Ampere, CompileOptions::default());
+//! let program = session.compile(&g).unwrap();
 //! assert_eq!(program.kernels.len(), 1);
 //! ```
 
@@ -66,7 +65,6 @@
 // justification (audited; enforced by verify.sh).
 #[deny(clippy::undocumented_unsafe_blocks)]
 pub mod codegen;
-pub mod compiler;
 pub mod error;
 // The no-new-unwrap gate: panics in the pipeline and resilience layers
 // are bugs by construction (the whole point is to degrade, not abort),
@@ -87,8 +85,7 @@ pub mod smg;
 pub mod tune;
 pub mod verify;
 
-pub use compiler::{CompileOptions, CompiledProgram, Compiler, FusionPolicy};
 pub use error::{Result, SfError};
-pub use pipeline::{CompileSession, ScheduleCache};
+pub use pipeline::{CompileOptions, CompileSession, CompiledProgram, FusionPolicy, ScheduleCache};
 pub use resilience::{Deadline, DegradationReport, FaultInjector, FaultPlan};
 pub use smg::{DimId, Mapping, MappingKind, Smg, SpaceId, SpaceKind};

@@ -22,7 +22,7 @@
 //! the claim and wakes the next waiter — a crashed compilation never
 //! wedges other threads. All internal locks recover from mutex
 //! poisoning (the guarded state is only mutated while consistent), and
-//! [`ScheduleCache::invalidate`] evicts an entry that fails validation
+//! [`ClaimMap::invalidate`] evicts an entry that fails validation
 //! on rebuild so the next claimant recomputes it.
 
 use super::FusionPolicy;
@@ -58,25 +58,32 @@ impl CacheKey {
 }
 
 /// Saved scheduling decision for one (sub)graph shape: how the graph
-/// split into consecutive kernels and each kernel's block configuration.
+/// split into consecutive kernels, their names and each kernel's block
+/// configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheEntry {
     /// Op counts of the consecutive kernels the graph splits into.
     pub piece_lens: Vec<usize>,
+    /// Each kernel's name relative to the graph's: `""` for an unsplit
+    /// graph, `.f`, `.l.f`, … for Alg.-2 fragments. Names are not part
+    /// of the key, so a hit names its kernels after the graph at hand.
+    pub suffixes: Vec<String>,
     /// Per-kernel block configuration.
     pub configs: Vec<SavedConfig>,
 }
 
 impl CacheEntry {
     /// Structural sanity of a (possibly deserialized) entry: a schedule
-    /// must cover at least one kernel piece, carry one configuration
-    /// per piece, and every recorded block size must be non-zero. The
-    /// snapshot loader ([`crate::serve::snapshot`]) evicts entries that
-    /// fail this check — the same recompute-in-place recovery the
-    /// rebuild path uses for poisoned in-memory entries.
+    /// must cover at least one kernel piece, carry one name suffix and
+    /// one configuration per piece, and every recorded block size must
+    /// be non-zero. The snapshot loader ([`crate::serve::snapshot`])
+    /// evicts entries that fail this check — the same
+    /// recompute-in-place recovery the rebuild path uses for poisoned
+    /// in-memory entries.
     pub fn is_well_formed(&self) -> bool {
         !self.piece_lens.is_empty()
             && self.piece_lens.len() == self.configs.len()
+            && self.piece_lens.len() == self.suffixes.len()
             && self.piece_lens.iter().all(|&l| l > 0)
             && self.configs.iter().all(|c| {
                 c.spatial.iter().all(|&b| b > 0)
@@ -98,7 +105,7 @@ pub struct SavedConfig {
     pub split: Option<usize>,
 }
 
-/// Outcome of [`ClaimMap::claim`] / [`ScheduleCache::claim`].
+/// Outcome of [`ClaimMap::claim`].
 pub enum Claim<'c, K: Eq + Hash + Clone = CacheKey, V: Clone = CacheEntry> {
     /// The key was already computed; here is the published value.
     Hit(V),
@@ -265,68 +272,13 @@ impl<K: Eq + Hash + Clone, V: Clone> ClaimMap<K, V> {
 }
 
 /// Thread-safe schedule cache shared across compilations: the
-/// [`ClaimMap`] claim protocol keyed by [`CacheKey`].
-#[derive(Default)]
-pub struct ScheduleCache {
-    map: ClaimMap<CacheKey, CacheEntry>,
-}
-
-impl ScheduleCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        ScheduleCache::default()
-    }
-
-    /// Probes the cache, blocking while another thread is computing the
-    /// same key. Wait chains cannot cycle: a computation only ever
-    /// claims keys of strictly smaller subgraphs than its own.
-    pub fn claim(&self, key: &CacheKey) -> Claim<'_> {
-        self.map.claim(key)
-    }
-
-    /// Non-blocking lookup (no in-flight coordination, no counters).
-    pub fn peek(&self, key: &CacheKey) -> Option<CacheEntry> {
-        self.map.peek(key)
-    }
-
-    /// Publishes an entry directly (the snapshot warm-start path).
-    pub fn insert(&self, key: CacheKey, entry: CacheEntry) {
-        self.map.insert(key, entry);
-    }
-
-    /// Evicts a published entry (used when a cached schedule fails
-    /// validation on rebuild — e.g. after injected cache poisoning — or
-    /// when a snapshot entry fails its checksum on load). The next
-    /// claimant recomputes it. Returns whether the key was present.
-    pub fn invalidate(&self, key: &CacheKey) -> bool {
-        self.map.invalidate(key)
-    }
-
-    /// A snapshot of every published entry, for disk persistence.
-    pub fn entries(&self) -> Vec<(CacheKey, CacheEntry)> {
-        self.map.entries()
-    }
-
-    /// Number of cached schedules.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache holds no schedules.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Probes that found a ready entry (lifetime total).
-    pub fn hits(&self) -> usize {
-        self.map.hits()
-    }
-
-    /// Probes that had to compute (lifetime total).
-    pub fn misses(&self) -> usize {
-        self.map.misses()
-    }
-}
+/// [`ClaimMap`] claim protocol keyed by [`CacheKey`]. Wait chains
+/// cannot cycle: a computation only ever claims keys of strictly
+/// smaller subgraphs than its own. An entry that fails validation on
+/// rebuild (e.g. after injected cache poisoning) or its checksum on
+/// snapshot load is [invalidated](ClaimMap::invalidate), and the next
+/// claimant recomputes it.
+pub type ScheduleCache = ClaimMap<CacheKey, CacheEntry>;
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -344,6 +296,7 @@ mod tests {
     fn entry() -> CacheEntry {
         CacheEntry {
             piece_lens: vec![3],
+            suffixes: vec![String::new()],
             configs: vec![SavedConfig {
                 spatial: vec![16],
                 temporal: None,
@@ -417,14 +370,19 @@ mod tests {
         assert!(entry().is_well_formed());
         let empty = CacheEntry {
             piece_lens: vec![],
+            suffixes: vec![],
             configs: vec![],
         };
         assert!(!empty.is_well_formed());
         let mismatched = CacheEntry {
             piece_lens: vec![3, 2],
+            suffixes: vec![".f".into(), ".l".into()],
             configs: entry().configs,
         };
         assert!(!mismatched.is_well_formed());
+        let mut unnamed = entry();
+        unnamed.suffixes.clear();
+        assert!(!unnamed.is_well_formed());
         let mut zero_block = entry();
         zero_block.configs[0].spatial = vec![0];
         assert!(!zero_block.is_well_formed());

@@ -1,11 +1,11 @@
-//! The pipeline passes (paper Fig. 9).
+//! The pipeline stages (paper Fig. 9), called in order by
+//! [`CompileSession::compile`](super::CompileSession::compile).
 //!
-//! * [`SegmentPass`] — split the graph into subprograms at layout
-//!   barriers.
-//! * [`GroupPass`] — split each segment into fusion groups according to
-//!   the [`FusionPolicy`](super::FusionPolicy).
-//! * [`SchedulePass`] — schedule every group: SMG construction, spatial
-//!   and temporal slicing, configuration enumeration, the partitioning
+//! * [`segment`] — split the graph into subprograms at layout barriers.
+//! * [`group`] — split each segment into fusion groups according to
+//!   the [`FusionPolicy`].
+//! * [`schedule`] — schedule every group: SMG construction, spatial and
+//!   temporal slicing, configuration enumeration, the partitioning
 //!   fallback (Alg. 2 + §5.3) and block-size auto-tuning. Groups are
 //!   independent, so they fan out across `std::thread::scope` workers;
 //!   results land in per-unit slots and are merged in deterministic
@@ -13,252 +13,236 @@
 //!   guarantees identical subprograms are tuned exactly once, even when
 //!   two workers (or two concurrent compilations) reach them
 //!   simultaneously.
-//! * [`EmitPass`] — merge kernels and statistics in unit order and
-//!   resolve program outputs through trailing layout barriers.
+//! * [`emit`] — merge kernels and statistics in unit order and resolve
+//!   program outputs through trailing layout barriers.
+//! * [`verify`] — statically verify the merged kernels when
+//!   [`CompileOptions::verify`] is on.
 
 use super::cache::{CacheEntry, CacheKey, Claim, SavedConfig};
 use super::stats::{CompileStats, EventDetail, PassEvent, PassId};
-use super::{CompileOptions, FusionPolicy, Pass, PassCtx, PipelineState, Unit};
+use super::{isolate, CompileOptions, FusionPolicy, PassCtx};
 use crate::codegen::{estimate_cost, KernelProgram};
 use crate::error::{Result, SfError};
-use crate::resilience::{panic_payload, DegradationStep, FaultKind, FaultStage, Rung};
-use crate::sched::{
-    assign_memory, partition, resource_aware_slicing, FusedSchedule, TemporalSchedule,
-};
-use crate::slicer::{eligible_spatial_dims, pick_temporal_dim, plan_temporal};
-use crate::smg::{build_smg, Smg};
+use crate::resilience::{DegradationStep, FaultKind, FaultStage, Rung};
+use crate::sched::resource::{enum_cfg, find_temporal_plan, fused_schedule, slice_temporally};
+use crate::sched::{partition, resource_aware_slicing, TemporalSchedule};
+use crate::slicer::eligible_spatial_dims;
+use crate::smg::build_smg;
 use crate::tune::tune_bounded;
+use crate::verify::{verify_program, Severity, VerifyConfig};
 use sf_gpu_sim::GpuArch;
-use sf_ir::{analysis, segment, Graph, OpKind};
+use sf_ir::{analysis, Graph, OpKind};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
+/// Microseconds elapsed since `t`.
+fn elapsed_us(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e6
+}
+
+/// One fusion group flowing through the pipeline: a contiguous slice of
+/// a segment, scheduled independently of its peers.
+pub(super) struct Unit {
+    /// Index of the segment this group came from.
+    segment: usize,
+    /// The group's subgraph.
+    graph: Graph,
+    /// Kernels the scheduler produced (filled by [`schedule`]).
+    kernels: Vec<KernelProgram>,
+    /// Per-unit statistics, merged in unit order by [`emit`].
+    stats: CompileStats,
+}
+
 /// Splits the graph into subprograms at layout barriers.
-pub struct SegmentPass;
-
-impl Pass for SegmentPass {
-    fn name(&self) -> &'static str {
-        PassId::Segment.name()
-    }
-
-    fn run(&self, ctx: &PassCtx<'_>, state: &mut PipelineState) -> Result<()> {
-        let t = Instant::now();
-        let has_barrier = state
-            .graph
-            .ops()
-            .iter()
-            .any(|o| matches!(o.kind, OpKind::LayoutBarrier));
-        state.segments = if has_barrier {
-            segment::segment(&state.graph)?
-        } else {
-            vec![state.graph.clone()]
-        };
-        ctx.emit(PassEvent {
-            pass: PassId::Segment,
-            segment: 0,
-            unit: state.graph.name().to_string(),
-            duration_us: t.elapsed().as_secs_f64() * 1e6,
-            detail: EventDetail::Segments {
-                count: state.segments.len(),
-            },
-        });
-        Ok(())
-    }
+pub(super) fn segment(ctx: &PassCtx<'_>, graph: &Graph) -> Result<Vec<Graph>> {
+    let t = Instant::now();
+    let has_barrier = graph
+        .ops()
+        .iter()
+        .any(|o| matches!(o.kind, OpKind::LayoutBarrier));
+    let segments = if has_barrier {
+        sf_ir::segment::segment(graph)?
+    } else {
+        vec![graph.clone()]
+    };
+    ctx.emit(PassEvent {
+        pass: PassId::Segment,
+        segment: 0,
+        unit: graph.name().to_string(),
+        duration_us: elapsed_us(t),
+        detail: EventDetail::Segments {
+            count: segments.len(),
+        },
+    });
+    Ok(segments)
 }
 
 /// Splits each segment into fusion groups according to the policy.
-pub struct GroupPass;
-
-impl Pass for GroupPass {
-    fn name(&self) -> &'static str {
-        PassId::Group.name()
+pub(super) fn group(ctx: &PassCtx<'_>, segments: &[Graph]) -> Result<Vec<Unit>> {
+    let mut units = Vec::new();
+    for (si, seg) in segments.iter().enumerate() {
+        let t = Instant::now();
+        let groups = split_into_groups(ctx.opts.policy, seg)?;
+        ctx.emit(PassEvent {
+            pass: PassId::Group,
+            segment: si,
+            unit: seg.name().to_string(),
+            duration_us: elapsed_us(t),
+            detail: EventDetail::Groups {
+                count: groups.len(),
+            },
+        });
+        units.extend(groups.into_iter().map(|graph| Unit {
+            segment: si,
+            graph,
+            kernels: Vec::new(),
+            stats: CompileStats::default(),
+        }));
     }
-
-    fn run(&self, ctx: &PassCtx<'_>, state: &mut PipelineState) -> Result<()> {
-        let mut index = 0;
-        for (si, seg) in state.segments.iter().enumerate() {
-            let t = Instant::now();
-            let groups = split_into_groups(ctx.opts.policy, seg)?;
-            ctx.emit(PassEvent {
-                pass: PassId::Group,
-                segment: si,
-                unit: seg.name().to_string(),
-                duration_us: t.elapsed().as_secs_f64() * 1e6,
-                detail: EventDetail::Groups {
-                    count: groups.len(),
-                },
-            });
-            for graph in groups {
-                state.units.push(Unit {
-                    segment: si,
-                    index,
-                    graph,
-                    kernels: Vec::new(),
-                    stats: CompileStats::default(),
-                });
-                index += 1;
-            }
-        }
-        Ok(())
-    }
+    Ok(units)
 }
 
 /// Schedules every fusion group, fanning independent groups out across
 /// worker threads.
-pub struct SchedulePass;
-
-impl Pass for SchedulePass {
-    fn name(&self) -> &'static str {
-        "schedule"
+pub(super) fn schedule(ctx: &PassCtx<'_>, units: &mut [Unit]) -> Result<()> {
+    let workers = ctx.workers.min(units.len()).max(1);
+    if workers == 1 {
+        for unit in units.iter_mut() {
+            Scheduler {
+                ctx,
+                segment: unit.segment,
+            }
+            .schedule_unit(unit)?;
+        }
+        return Ok(());
     }
 
-    fn run(&self, ctx: &PassCtx<'_>, state: &mut PipelineState) -> Result<()> {
-        let workers = ctx.workers.min(state.units.len()).max(1);
-        if workers == 1 {
-            for unit in state.units.iter_mut() {
-                Scheduler {
-                    ctx,
-                    segment: unit.segment,
+    // Dynamic work queue over per-unit slots: each slot is locked by
+    // exactly one worker, results stay in deterministic unit order.
+    let next = AtomicUsize::new(0);
+    let slots: Vec<Mutex<&mut Unit>> = units.iter_mut().map(Mutex::new).collect();
+    let failures: Mutex<Vec<(usize, SfError)>> = Mutex::new(Vec::new());
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(slot) = slots.get(i) else { break };
+                let mut unit = slot.lock().unwrap_or_else(PoisonError::into_inner);
+                let segment = unit.segment;
+                if let Err(e) = (Scheduler { ctx, segment }).schedule_unit(&mut unit) {
+                    failures
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push((i, e));
                 }
-                .schedule_unit(unit)?;
-            }
-            return Ok(());
+            });
         }
-
-        // Dynamic work queue over per-unit slots: each slot is locked by
-        // exactly one worker, results stay in deterministic unit order.
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<&mut Unit>> = state.units.iter_mut().map(Mutex::new).collect();
-        let failures: Mutex<Vec<(usize, SfError)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(slot) = slots.get(i) else { break };
-                    let mut unit = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                    let segment = unit.segment;
-                    if let Err(e) = (Scheduler { ctx, segment }).schedule_unit(&mut unit) {
-                        failures
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push((i, e));
-                    }
-                });
-            }
-        });
-        // First failure in unit order, so errors are deterministic too.
-        let mut failures = failures
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        failures.sort_by_key(|(i, _)| *i);
-        match failures.into_iter().next() {
-            Some((_, e)) => Err(e),
-            None => Ok(()),
-        }
+    });
+    // First failure in unit order, so errors are deterministic too.
+    let mut failures = failures
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    failures.sort_by_key(|(i, _)| *i);
+    match failures.into_iter().next() {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
     }
 }
 
 /// Merges scheduled kernels and statistics in unit order and resolves
 /// program outputs.
-pub struct EmitPass;
-
-impl Pass for EmitPass {
-    fn name(&self) -> &'static str {
-        PassId::Emit.name()
+pub(super) fn emit(
+    ctx: &PassCtx<'_>,
+    graph: &Graph,
+    units: Vec<Unit>,
+) -> (
+    Vec<KernelProgram>,
+    Vec<(String, sf_tensor::Shape)>,
+    CompileStats,
+) {
+    let t = Instant::now();
+    let mut kernels = Vec::new();
+    let mut stats = CompileStats::default();
+    for mut unit in units {
+        stats.absorb(&unit.stats);
+        kernels.append(&mut unit.kernels);
     }
-
-    fn run(&self, ctx: &PassCtx<'_>, state: &mut PipelineState) -> Result<()> {
-        let t = Instant::now();
-        for unit in state.units.iter_mut() {
-            state.stats.absorb(&unit.stats);
-            state.kernels.append(&mut unit.kernels);
+    // Record every kernel the disjoint-write prover refused: the engine
+    // will pin them to the serial path at execution time, and
+    // `sfc compile` surfaces them next to the degradations.
+    for kp in &kernels {
+        if let crate::verify::DisjointProof::Unproven(reason) = &kp.disjoint {
+            stats
+                .lockfree_fallbacks
+                .push((kp.name.clone(), reason.clone()));
         }
-        // Record every kernel the disjoint-write prover refused: the
-        // engine will pin them to the serial path at execution time, and
-        // `sfc compile` surfaces them next to the degradations.
-        for kp in &state.kernels {
-            if let crate::verify::DisjointProof::Unproven(reason) = &kp.disjoint {
-                state
-                    .stats
-                    .lockfree_fallbacks
-                    .push((kp.name.clone(), reason.clone()));
-            }
-        }
-        // Resolve each output through any trailing layout barriers: the
-        // kernels materialize the barrier's *source* value.
-        state.outputs = state
-            .graph
-            .outputs()
-            .iter()
-            .map(|&v| {
-                let shape = *state.graph.shape(v);
-                let mut src = v;
-                while let Some(op) = state.graph.producer(src) {
-                    if matches!(op.kind, OpKind::LayoutBarrier) {
-                        src = op.inputs[0];
-                    } else {
-                        break;
-                    }
+    }
+    // Resolve each output through any trailing layout barriers: the
+    // kernels materialize the barrier's *source* value.
+    let outputs = graph
+        .outputs()
+        .iter()
+        .map(|&v| {
+            let shape = *graph.shape(v);
+            let mut src = v;
+            while let Some(op) = graph.producer(src) {
+                if matches!(op.kind, OpKind::LayoutBarrier) {
+                    src = op.inputs[0];
+                } else {
+                    break;
                 }
-                (state.graph.value(src).name.clone(), shape)
-            })
-            .collect();
-        ctx.emit(PassEvent {
-            pass: PassId::Emit,
-            segment: 0,
-            unit: state.graph.name().to_string(),
-            duration_us: t.elapsed().as_secs_f64() * 1e6,
-            detail: EventDetail::None,
-        });
-        Ok(())
-    }
+            }
+            (graph.value(src).name.clone(), shape)
+        })
+        .collect();
+    ctx.emit(PassEvent {
+        pass: PassId::Emit,
+        segment: 0,
+        unit: graph.name().to_string(),
+        duration_us: elapsed_us(t),
+        detail: EventDetail::None,
+    });
+    (kernels, outputs, stats)
 }
 
-/// Final pass: static verification of the emitted kernels
-/// ([`crate::verify`]). Gated by
-/// [`CompileOptions::verify`](super::CompileOptions) — on by default in
-/// debug builds — and fails the compilation with
-/// [`SfError::Verify`] when any error-level diagnostic survives.
-pub struct VerifyPass;
-
-impl Pass for VerifyPass {
-    fn name(&self) -> &'static str {
-        PassId::Verify.name()
+/// Static verification of the emitted kernels ([`crate::verify`]).
+/// Gated by [`CompileOptions::verify`] — on by default in debug builds
+/// — and fails the compilation with [`SfError::Verify`] when any
+/// error-level diagnostic survives.
+pub(super) fn verify(ctx: &PassCtx<'_>, unit: &str, kernels: &[KernelProgram]) -> Result<()> {
+    if !ctx.opts.verify {
+        return Ok(());
     }
+    let t = Instant::now();
+    let (errors, warnings, verdict) = verify_kernels(kernels, ctx.arch);
+    ctx.emit(PassEvent {
+        pass: PassId::Verify,
+        segment: 0,
+        unit: unit.to_string(),
+        duration_us: elapsed_us(t),
+        detail: EventDetail::Verify { errors, warnings },
+    });
+    verdict
+}
 
-    fn run(&self, ctx: &PassCtx<'_>, state: &mut PipelineState) -> Result<()> {
-        if !ctx.opts.verify {
-            return Ok(());
-        }
-        let t = Instant::now();
-        let diags = crate::verify::verify_program(
-            &state.kernels,
-            ctx.arch,
-            &crate::verify::VerifyConfig::default(),
-        );
-        let (errors, warnings) = crate::verify::counts(&diags);
-        ctx.emit(PassEvent {
-            pass: PassId::Verify,
-            segment: 0,
-            unit: state.graph.name().to_string(),
-            duration_us: t.elapsed().as_secs_f64() * 1e6,
-            detail: EventDetail::Verify { errors, warnings },
-        });
-        if errors > 0 {
-            let head: Vec<String> = diags
-                .iter()
-                .filter(|d| d.severity == crate::verify::Severity::Error)
-                .take(3)
-                .map(|d| d.to_string())
-                .collect();
-            return Err(SfError::Verify(format!(
-                "{errors} error(s): {}",
-                head.join("; ")
-            )));
-        }
-        Ok(())
+/// Runs the static verifier over `kernels`: the error and warning
+/// counts, and an [`SfError::Verify`] quoting the first three errors
+/// when there are any.
+fn verify_kernels(kernels: &[KernelProgram], arch: &GpuArch) -> (usize, usize, Result<()>) {
+    let diags = verify_program(kernels, arch, &VerifyConfig::default());
+    let (errors, warnings) = crate::verify::counts(&diags);
+    if errors == 0 {
+        return (errors, warnings, Ok(()));
     }
+    let head: Vec<String> = diags
+        .iter()
+        .filter(|d| d.severity == Severity::Error)
+        .take(3)
+        .map(|d| d.to_string())
+        .collect();
+    let err = SfError::Verify(format!("{errors} error(s): {}", head.join("; ")));
+    (errors, warnings, Err(err))
 }
 
 /// Whether ops `[i, i+5)` form the canonical softmax chain
@@ -427,7 +411,7 @@ impl Scheduler<'_, '_> {
         g: &Graph,
     ) -> Result<(Vec<KernelProgram>, CompileStats)> {
         let opts = self.ctx.opts;
-        isolate(name, || {
+        isolate(&format!("schedule:{name}"), || {
             let mut stats = CompileStats::default();
             let kernels = match rung {
                 Rung::Primary => self.schedule_group(opts, g.clone(), &mut stats, false)?,
@@ -441,10 +425,11 @@ impl Scheduler<'_, '_> {
                 }
             };
             // Per-rung verification: a kernel set the verifier rejects
-            // must fall to the next rung, not ship. (The VerifyPass
+            // must fall to the next rung, not ship. (The verify stage
             // still checks the merged program at the end.)
             if opts.verify && opts.resilient {
-                verify_kernels(&kernels, self.ctx.arch)?;
+                let (_, _, verdict) = verify_kernels(&kernels, self.ctx.arch);
+                verdict?;
             }
             Ok((kernels, stats))
         })
@@ -518,6 +503,10 @@ impl Scheduler<'_, '_> {
                     let (kps, intended_fusion) = self.schedule_uncached(opts, &g, stats)?;
                     let mut entry = CacheEntry {
                         piece_lens: kps.iter().map(|k| k.graph.ops().len()).collect(),
+                        suffixes: kps
+                            .iter()
+                            .map(|k| k.name.strip_prefix(g.name()).unwrap_or("").to_string())
+                            .collect(),
                         configs: kps
                             .iter()
                             .map(|k| SavedConfig {
@@ -707,33 +696,36 @@ impl Scheduler<'_, '_> {
         );
         let smg = smg?;
 
-        // Phase timings (Table 4 instrumentation).
+        // Alg. 1 step by step, each step timed where it runs:
+        // `SS.getDims`, `TS.getPriorDim + TS.slice`, then `enumCfg`.
         let t = Instant::now();
         let spatial_dims = eligible_spatial_dims(g, &smg);
-        let spatial_us = t.elapsed().as_secs_f64() * 1e6;
-        stats.spatial_us += spatial_us;
-        self.emit(PassId::SpatialSlice, name, spatial_us, EventDetail::None);
+        self.emit(PassId::SpatialSlice, name, elapsed_us(t), EventDetail::None);
 
-        let t = Instant::now();
-        if opts.slicing.enable_temporal {
-            if let Some(d) = pick_temporal_dim(g, &smg, &spatial_dims) {
-                let _ = plan_temporal(g, &smg, d);
-            }
-        }
-        let temporal_us = t.elapsed().as_secs_f64() * 1e6;
-        stats.temporal_us += temporal_us;
-        self.emit(PassId::TemporalSlice, name, temporal_us, EventDetail::None);
-
-        let t = Instant::now();
         let mut slicing = opts.slicing.clone();
         slicing.deadline = slicing.deadline.earliest(self.ctx.deadline);
-        let schedules = resource_aware_slicing(g, &smg, self.ctx.arch, &slicing);
-        let enum_us = t.elapsed().as_secs_f64() * 1e6;
-        stats.enum_us += enum_us;
+        let t = Instant::now();
+        let plan = slice_temporally(g, &smg, &spatial_dims, &slicing);
+        self.emit(
+            PassId::TemporalSlice,
+            name,
+            elapsed_us(t),
+            EventDetail::None,
+        );
+
+        let t = Instant::now();
+        let schedules = enum_cfg(
+            g,
+            &smg,
+            self.ctx.arch,
+            &slicing,
+            &spatial_dims,
+            plan.as_ref(),
+        );
         self.emit(
             PassId::EnumCfg,
             name,
-            enum_us,
+            elapsed_us(t),
             EventDetail::Candidates {
                 generated: schedules.as_ref().map(|s| s.len()).unwrap_or(0),
             },
@@ -760,12 +752,10 @@ impl Scheduler<'_, '_> {
             })?;
             stats.evaluated += r.evaluated;
             stats.pruned += r.pruned;
-            let tune_us = t.elapsed().as_secs_f64() * 1e6;
-            stats.tune_us += tune_us;
             self.emit(
                 PassId::Tune,
                 name,
-                tune_us,
+                elapsed_us(t),
                 EventDetail::Tune {
                     evaluated: r.evaluated,
                     pruned: r.pruned,
@@ -777,12 +767,10 @@ impl Scheduler<'_, '_> {
             let last = candidates.len().checked_sub(1).ok_or_else(|| {
                 SfError::ResourceInfeasible(format!("no feasible schedule candidates for '{name}'"))
             })?;
-            let tune_us = t.elapsed().as_secs_f64() * 1e6;
-            stats.tune_us += tune_us;
             self.emit(
                 PassId::Tune,
                 name,
-                tune_us,
+                elapsed_us(t),
                 EventDetail::Tune {
                     evaluated: 0,
                     pruned: 0,
@@ -812,10 +800,7 @@ impl Scheduler<'_, '_> {
             .iter()
             .copied()
             .fold(0usize, usize::saturating_add);
-        if total != g.ops().len()
-            || entry.piece_lens.len() != entry.configs.len()
-            || entry.piece_lens.contains(&0)
-        {
+        if total != g.ops().len() || !entry.is_well_formed() {
             return Err(SfError::Codegen(format!(
                 "cache entry corrupt for '{}': piece layout does not match graph",
                 g.name()
@@ -823,8 +808,14 @@ impl Scheduler<'_, '_> {
         }
         let mut out = Vec::with_capacity(entry.piece_lens.len());
         let mut start = 0usize;
-        for (len, cfg) in entry.piece_lens.iter().zip(&entry.configs) {
-            let piece = partition::extract_ops(g, start, start + len, g.name())?;
+        for ((len, suffix), cfg) in entry
+            .piece_lens
+            .iter()
+            .zip(&entry.suffixes)
+            .zip(&entry.configs)
+        {
+            let name = format!("{}{suffix}", g.name());
+            let piece = partition::extract_ops(g, start, start + len, &name)?;
             start += len;
             out.push(self.schedule_from_config(opts, piece, cfg)?);
         }
@@ -848,7 +839,10 @@ impl Scheduler<'_, '_> {
         let spatial: Vec<_> = dims.into_iter().zip(cfg.spatial.iter().copied()).collect();
         let temporal = match cfg.temporal {
             Some(block) => {
-                let plan = self.cached_plan(opts, &g, &smg, &spatial)?;
+                let dims: Vec<_> = spatial.iter().map(|&(d, _)| d).collect();
+                let plan = find_temporal_plan(&g, &smg, &dims, &opts.slicing).ok_or_else(|| {
+                    SfError::Codegen("cached temporal plan not reproducible".into())
+                })?;
                 // A saved split factor is rebuilt from the plan: the
                 // combine algebra is a pure function of (graph, plan),
                 // so only the partition count needs caching. A plan
@@ -866,86 +860,9 @@ impl Scheduler<'_, '_> {
             }
             None => None,
         };
-        let mem = assign_memory(
-            &g,
-            &smg,
-            &spatial,
-            temporal.as_ref(),
-            self.ctx.arch.smem_per_block / 4,
-        );
-        let schedule = FusedSchedule {
-            smg,
-            spatial,
-            temporal,
-            mem,
-        };
+        let schedule = fused_schedule(&g, smg, spatial, temporal, self.ctx.arch);
         Ok(KernelProgram::new(g.name().to_string(), g, schedule))
     }
-
-    fn cached_plan(
-        &self,
-        opts: &CompileOptions,
-        g: &Graph,
-        smg: &Smg,
-        spatial: &[(crate::smg::DimId, usize)],
-    ) -> Result<crate::slicer::TemporalPlan> {
-        let spatial_dims: Vec<_> = spatial.iter().map(|&(d, _)| d).collect();
-        let mut excluded = spatial_dims.clone();
-        while let Some(dim) = pick_temporal_dim(g, smg, &excluded) {
-            match plan_temporal(g, smg, dim) {
-                Ok(plan) => {
-                    let needs_uta = plan
-                        .sliced
-                        .iter()
-                        .any(|s| matches!(s.agg, crate::slicer::AggKind::Uta(_)));
-                    if needs_uta && !opts.slicing.enable_uta {
-                        excluded.push(dim);
-                        continue;
-                    }
-                    return Ok(plan);
-                }
-                Err(_) => excluded.push(dim),
-            }
-        }
-        Err(SfError::Codegen(
-            "cached temporal plan not reproducible".into(),
-        ))
-    }
-}
-
-/// Panic-isolation boundary for one scheduling attempt: a panic inside
-/// `f` (a buggy pass, an injected fault) becomes [`SfError::Internal`]
-/// naming the site. Cache tickets claimed inside `f` are abandoned
-/// during the unwind, so waiters on the same key are never wedged.
-fn isolate<T>(site: &str, f: impl FnOnce() -> Result<T>) -> Result<T> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).unwrap_or_else(|payload| {
-        Err(SfError::Internal {
-            pass: format!("schedule:{site}"),
-            payload: panic_payload(payload),
-        })
-    })
-}
-
-/// Statically verifies one unit's kernels so a verify failure can feed
-/// the degradation ladder (the final [`VerifyPass`] still checks the
-/// merged program).
-fn verify_kernels(kernels: &[KernelProgram], arch: &GpuArch) -> Result<()> {
-    let diags =
-        crate::verify::verify_program(kernels, arch, &crate::verify::VerifyConfig::default());
-    let (errors, _) = crate::verify::counts(&diags);
-    if errors > 0 {
-        let head: Vec<String> = diags
-            .iter()
-            .filter(|d| d.severity == crate::verify::Severity::Error)
-            .take(3)
-            .map(|d| d.to_string())
-            .collect();
-        return Err(SfError::Verify(format!(
-            "{errors} error(s): {}",
-            head.join("; ")
-        )));
-    }
-    Ok(())
 }
 
 /// Adds the §6.6 census patterns of `kps` to `stats`: fused kernels

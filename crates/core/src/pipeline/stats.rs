@@ -5,9 +5,9 @@
 //! [`CompileSession`](super::CompileSession). Events carry the pass
 //! name, the segment/unit they ran on, their wall-clock duration and a
 //! pass-specific payload (cache hit/miss, candidates generated,
-//! evaluated, pruned, …). This replaces the scattered `Instant::now()`
-//! bookkeeping the monolithic compiler used, while [`CompileStats`] is
-//! still populated for backward compatibility (Table 4 reads it).
+//! evaluated, pruned, …). Per-pass timings are read from the events
+//! (`sfc compile --timings`, `repro table4`); [`CompileStats`] keeps
+//! the compile's wall-clock total and its decision counters.
 
 use std::sync::Mutex;
 
@@ -371,21 +371,10 @@ pub fn render_timings(events: &[PassEvent]) -> String {
     out
 }
 
-/// Timing and search-space statistics of one compilation.
-///
-/// Populated from the same measurements that feed the event sink, so
-/// pre-pipeline consumers (the `repro` runner's `table4` row) keep
-/// working unchanged.
+/// Wall-clock total and search-space statistics of one compilation.
+/// Per-pass durations live on the [`PassEvent`] stream only.
 #[derive(Debug, Clone, Default)]
 pub struct CompileStats {
-    /// Time in spatial-slicer analysis (`SS.getDims + SS.slice`), µs.
-    pub spatial_us: f64,
-    /// Time in temporal-slicer analysis (`TS.getPriorDim + TS.slice`), µs.
-    pub temporal_us: f64,
-    /// Time enumerating and checking configurations (`enumCfg`), µs.
-    pub enum_us: f64,
-    /// Time evaluating candidates in the tuner, µs.
-    pub tune_us: f64,
     /// Wall-clock total, µs.
     pub total_us: f64,
     /// Configurations generated.
@@ -412,10 +401,6 @@ impl CompileStats {
     /// Accumulates another unit's statistics into `self` (everything
     /// except `total_us`, which is wall-clock and set by the session).
     pub(crate) fn absorb(&mut self, other: &CompileStats) {
-        self.spatial_us += other.spatial_us;
-        self.temporal_us += other.temporal_us;
-        self.enum_us += other.enum_us;
-        self.tune_us += other.tune_us;
         self.configs += other.configs;
         self.evaluated += other.evaluated;
         self.pruned += other.pruned;
@@ -483,12 +468,10 @@ mod tests {
     #[test]
     fn stats_absorb_sums_everything_but_total() {
         let mut a = CompileStats {
-            tune_us: 1.0,
             configs: 2,
             ..Default::default()
         };
         let b = CompileStats {
-            tune_us: 3.0,
             configs: 5,
             total_us: 99.0,
             fusion_patterns: vec!["p".into()],
@@ -496,7 +479,6 @@ mod tests {
         };
         a.absorb(&b);
         assert_eq!(a.configs, 7);
-        assert!((a.tune_us - 4.0).abs() < 1e-12);
         assert_eq!(a.total_us, 0.0);
         assert_eq!(a.fusion_patterns, vec!["p".to_string()]);
     }

@@ -207,11 +207,11 @@ mod tests {
 
     #[test]
     fn rewritten_layernorm_compiles_and_matches() {
-        use crate::compiler::{Compiler, FusionPolicy};
+        use crate::pipeline::{CompileSession, FusionPolicy};
         use sf_gpu_sim::Arch;
         let g = layernorm(64, 512);
         let r = streaming_variance(&g).unwrap();
-        let program = Compiler::with_policy(Arch::Volta, FusionPolicy::SpaceFusion)
+        let program = CompileSession::with_policy(Arch::Volta, FusionPolicy::SpaceFusion)
             .compile(&r)
             .unwrap();
         assert_eq!(program.kernels.len(), 1);

@@ -123,7 +123,7 @@ fn split_k_variants(graph: &Graph, plan: &TemporalPlan, extent: usize, tb: usize
 /// Finds the highest-priority temporal plan, skipping dimensions whose
 /// dependency chains cannot be transformed (paper §4.3's △ cases fall
 /// back to the next-priority dimension).
-fn find_temporal_plan(
+pub(crate) fn find_temporal_plan(
     graph: &Graph,
     smg: &Smg,
     spatial: &[DimId],
@@ -148,6 +148,31 @@ fn find_temporal_plan(
     None
 }
 
+/// A concrete schedule of `graph` with its memory hierarchy assigned
+/// (§5.4) under `arch`'s staging limit: the one place a
+/// [`FusedSchedule`] is assembled.
+pub(crate) fn fused_schedule(
+    graph: &Graph,
+    smg: Smg,
+    spatial: Vec<(DimId, usize)>,
+    temporal: Option<TemporalSchedule>,
+    arch: &GpuArch,
+) -> FusedSchedule {
+    let mem = assign_memory(
+        graph,
+        &smg,
+        &spatial,
+        temporal.as_ref(),
+        arch.smem_per_block / 4,
+    );
+    FusedSchedule {
+        smg,
+        spatial,
+        temporal,
+        mem,
+    }
+}
+
 /// Algorithm 1: slices `smg` spatially then temporally and enumerates the
 /// block-size configurations that satisfy `arch`'s resource constraints.
 ///
@@ -155,29 +180,53 @@ fn find_temporal_plan(
 /// them). Fails with [`SfError::NoSpatialDim`] when no dimension is
 /// spatially sliceable and with [`SfError::ResourceInfeasible`] when no
 /// configuration fits — both trigger SMG partitioning in the caller.
+/// The compile pipeline runs the three steps itself to time each one.
 pub fn resource_aware_slicing(
     graph: &Graph,
     smg: &Smg,
     arch: &GpuArch,
     opts: &SlicingOptions,
 ) -> Result<Vec<FusedSchedule>> {
-    // When no dimension is dependency-free, fall back to single-block
-    // schedules (grid 1 per instance): batch-like instances still provide
-    // inter-block parallelism. This extends Algorithm 1 to the decode-
-    // style shapes where every non-batch dimension carries a reduction.
     let spatial_dims = eligible_spatial_dims(graph, smg);
+    let plan = slice_temporally(graph, smg, &spatial_dims, opts);
+    enum_cfg(graph, smg, arch, opts, &spatial_dims, plan.as_ref())
+}
+
+/// Alg. 1's temporal step (`TS.getPriorDim + TS.slice`): the plan every
+/// temporally sliced candidate uses, or `None` when temporal slicing is
+/// off or the spatial dimensions leave no rank for a tile.
+pub(crate) fn slice_temporally(
+    graph: &Graph,
+    smg: &Smg,
+    spatial_dims: &[DimId],
+    opts: &SlicingOptions,
+) -> Option<TemporalPlan> {
+    if opts.enable_temporal && spatial_dims.len() < MAX_RANK {
+        find_temporal_plan(graph, smg, spatial_dims, opts)
+    } else {
+        None
+    }
+}
+
+/// Alg. 1's `enumCfg`: every feasible block configuration over the
+/// spatial dimensions `spatial_dims` (when no dimension is
+/// dependency-free, single-block schedules of grid 1 per instance —
+/// batch-like instances still provide inter-block parallelism), with
+/// and without the temporal `plan`.
+pub(crate) fn enum_cfg(
+    graph: &Graph,
+    smg: &Smg,
+    arch: &GpuArch,
+    opts: &SlicingOptions,
+    spatial_dims: &[DimId],
+    plan: Option<&TemporalPlan>,
+) -> Result<Vec<FusedSchedule>> {
     // A block restricts every spatial dimension and a tile one more, in
     // at most `MAX_RANK` inline entries: skip candidates exceeding that.
     if spatial_dims.len() > MAX_RANK {
         let why = format!("'{}': over {MAX_RANK} spatial dims", graph.name());
         return Err(SfError::ResourceInfeasible(why));
     }
-
-    let temporal_plan = if opts.enable_temporal && spatial_dims.len() < MAX_RANK {
-        find_temporal_plan(graph, smg, &spatial_dims, opts)
-    } else {
-        None
-    };
 
     // Enumerate spatial configurations (cross product over dims; a
     // single empty configuration when nothing is sliceable).
@@ -204,7 +253,6 @@ pub fn resource_aware_slicing(
         spatial_cfgs = next;
     }
 
-    let staging_limit = arch.smem_per_block / 4;
     let mut feasible: Vec<FusedSchedule> = Vec::new();
     for (ci, cfg) in spatial_cfgs.iter().enumerate() {
         // Deadline: stop enumerating once the budget is gone, keeping
@@ -221,13 +269,7 @@ pub fn resource_aware_slicing(
             .collect();
 
         // Spatial-only variant.
-        let mem = assign_memory(graph, smg, &spatial, None, staging_limit);
-        let s = FusedSchedule {
-            smg: smg.clone(),
-            spatial: spatial.clone(),
-            temporal: None,
-            mem,
-        };
+        let s = fused_schedule(graph, smg.clone(), spatial.clone(), None, arch);
         if arch.block_fits(s.smem_per_block(graph), s.regs_per_block(graph)) {
             feasible.push(s);
         }
@@ -237,7 +279,7 @@ pub fn resource_aware_slicing(
         // "some SMGs that cannot satisfy the hardware resource
         // constraints during the spatial slicing become efficient after
         // being temporal sliced".
-        if let Some(plan) = &temporal_plan {
+        if let Some(plan) = plan {
             let tmin = min_block_of(graph, smg, plan.dim);
             for tb in candidate_sizes(smg.extent(plan.dim), tmin, opts.fixed_temporal_block) {
                 if tb < 8 && smg.extent(plan.dim) >= 8 {
@@ -248,13 +290,7 @@ pub fn resource_aware_slicing(
                     block: tb,
                     split: None,
                 });
-                let mem = assign_memory(graph, smg, &spatial, temporal.as_ref(), staging_limit);
-                let s = FusedSchedule {
-                    smg: smg.clone(),
-                    spatial: spatial.clone(),
-                    temporal,
-                    mem,
-                };
+                let s = fused_schedule(graph, smg.clone(), spatial.clone(), temporal, arch);
                 if arch.block_fits(s.smem_per_block(graph), s.regs_per_block(graph)) {
                     // Split-K variants: partition the tile loop into P
                     // parallel partial accumulators when every sliced
@@ -280,14 +316,13 @@ pub fn resource_aware_slicing(
                             block: tb,
                             split: Some(split),
                         });
-                        let mem =
-                            assign_memory(graph, smg, &spatial, temporal.as_ref(), staging_limit);
-                        feasible.push(FusedSchedule {
-                            smg: smg.clone(),
-                            spatial: spatial.clone(),
+                        feasible.push(fused_schedule(
+                            graph,
+                            smg.clone(),
+                            spatial.clone(),
                             temporal,
-                            mem,
-                        });
+                            arch,
+                        ));
                     }
                 }
             }
@@ -447,9 +482,9 @@ mod tests {
             Err(SfError::ResourceInfeasible(_))
         ));
         let g = wide(3);
-        let program = crate::compiler::Compiler::with_policy(
+        let program = crate::pipeline::CompileSession::with_policy(
             sf_gpu_sim::Arch::Ampere,
-            crate::compiler::FusionPolicy::SpaceFusion,
+            crate::pipeline::FusionPolicy::SpaceFusion,
         )
         .compile(&g)
         .unwrap();

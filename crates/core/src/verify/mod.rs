@@ -424,7 +424,7 @@ pub fn counts(diags: &[Diagnostic]) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiler::{Compiler, FusionPolicy};
+    use crate::pipeline::{CompileSession, FusionPolicy};
     use sf_gpu_sim::Arch;
     use sf_ir::Graph;
     use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
@@ -449,7 +449,7 @@ mod tests {
     #[test]
     fn compiled_mha_is_clean_on_every_arch() {
         for arch in [Arch::Volta, Arch::Ampere, Arch::Hopper] {
-            let p = Compiler::with_policy(arch, FusionPolicy::SpaceFusion)
+            let p = CompileSession::with_policy(arch, FusionPolicy::SpaceFusion)
                 .compile(&mha(8192))
                 .unwrap();
             let diags = verify_program(&p.kernels, &p.arch, &VerifyConfig::default());

@@ -6,7 +6,7 @@ use sf_ir::Graph;
 use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
 use sf_tensor::{assert_tensors_bitwise, assert_tensors_close, DType, Shape, Tolerance};
 use spacefusion::codegen::ExecOptions;
-use spacefusion::compiler::{CompileOptions, CompiledProgram, Compiler, FusionPolicy};
+use spacefusion::{CompileOptions, CompileSession, CompiledProgram, FusionPolicy};
 
 /// The historical per-test absolute tolerances, upgraded to the shared
 /// comparator: the absolute value keeps its role as cancellation floor,
@@ -122,7 +122,7 @@ fn check_opts(
     tol: Tolerance,
 ) -> CompiledProgram {
     let what = format!("{} under {:?} {:?}", g.name(), opts.policy, opts.slicing);
-    let program = Compiler::new(arch, opts)
+    let program = CompileSession::new(arch, opts)
         .compile(g)
         .unwrap_or_else(|e| panic!("compile failed for {what}: {e}"));
     let bindings = g.random_bindings(seed);
@@ -243,7 +243,7 @@ fn mha_flash_attention_schedule_matches() {
     // Long sequence forces the temporal slicer + UTA: this is the
     // mechanically derived FlashAttention, validated numerically.
     let g = mha_graph(64, 2048, 64);
-    let compiler = Compiler::with_policy(Arch::Volta, FusionPolicy::SpaceFusion);
+    let compiler = CompileSession::with_policy(Arch::Volta, FusionPolicy::SpaceFusion);
     let program = compiler.compile(&g).unwrap();
     assert_eq!(program.kernels.len(), 1, "MHA must fuse into one kernel");
     assert!(
@@ -281,7 +281,7 @@ fn mha_all_policies_match() {
 #[test]
 fn mlp_stack_fuses_and_matches() {
     let g = mlp_graph(4, 64, 64);
-    let compiler = Compiler::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion);
+    let compiler = CompileSession::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion);
     let program = compiler.compile(&g).unwrap();
     assert_eq!(
         program.kernels.len(),
@@ -294,7 +294,7 @@ fn mlp_stack_fuses_and_matches() {
 #[test]
 fn mlp_unfused_has_one_kernel_per_op() {
     let g = mlp_graph(3, 32, 32);
-    let compiler = Compiler::with_policy(Arch::Ampere, FusionPolicy::Unfused);
+    let compiler = CompileSession::with_policy(Arch::Ampere, FusionPolicy::Unfused);
     let program = compiler.compile(&g).unwrap();
     assert_eq!(program.kernels.len(), 9);
     check(&g, FusionPolicy::Unfused, Arch::Ampere, 8, tol(1e-4));
@@ -303,7 +303,7 @@ fn mlp_unfused_has_one_kernel_per_op() {
 #[test]
 fn mlp_epilogue_policy_groups_gemm_plus_epilogue() {
     let g = mlp_graph(3, 32, 32);
-    let compiler = Compiler::with_policy(Arch::Ampere, FusionPolicy::EpilogueOnly);
+    let compiler = CompileSession::with_policy(Arch::Ampere, FusionPolicy::EpilogueOnly);
     let program = compiler.compile(&g).unwrap();
     assert_eq!(program.kernels.len(), 3, "one kernel per gemm+bias+relu");
     check(&g, FusionPolicy::EpilogueOnly, Arch::Ampere, 9, tol(1e-4));
@@ -312,7 +312,7 @@ fn mlp_epilogue_policy_groups_gemm_plus_epilogue() {
 #[test]
 fn layernorm_fuses_to_one_kernel_and_matches() {
     let g = layernorm_graph(128, 256);
-    let compiler = Compiler::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion);
+    let compiler = CompileSession::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion);
     let program = compiler.compile(&g).unwrap();
     assert_eq!(program.kernels.len(), 1);
     check(&g, FusionPolicy::SpaceFusion, Arch::Ampere, 10, tol(1e-4));
@@ -323,7 +323,7 @@ fn layernorm_mi_only_also_fuses() {
     // LayerNorm is all memory-intensive ops: the AStitch-like policy
     // fuses it too (paper Table 6: MI fusion is where BladeDISC works).
     let g = layernorm_graph(64, 128);
-    let compiler = Compiler::with_policy(Arch::Ampere, FusionPolicy::MiOnly);
+    let compiler = CompileSession::with_policy(Arch::Ampere, FusionPolicy::MiOnly);
     let program = compiler.compile(&g).unwrap();
     assert_eq!(program.kernels.len(), 1);
     check(&g, FusionPolicy::MiOnly, Arch::Ampere, 11, tol(1e-4));
@@ -342,13 +342,28 @@ fn welder_policy_partitions_long_mha() {
     // (the paper's "NNFusion fails to fuse MHA with long sequence
     // lengths") while staying numerically correct.
     let g = mha_graph(64, 4096, 64);
-    let compiler = Compiler::with_policy(Arch::Volta, FusionPolicy::TileGraph);
+    let compiler = CompileSession::with_policy(Arch::Volta, FusionPolicy::TileGraph);
     let program = compiler.compile(&g).unwrap();
     assert!(
         program.kernels.len() > 1,
         "tile-graph policy should have split long MHA"
     );
-    let sf = Compiler::with_policy(Arch::Volta, FusionPolicy::SpaceFusion);
+    // A warm schedule-cache hit rebuilds the same kernels under the
+    // same names: each fragment keeps its own, not the group's.
+    let warm = compiler.compile(&g).unwrap();
+    assert!(warm.stats.cache_hits > 0, "second compile must hit");
+    let names =
+        |p: &CompiledProgram| -> Vec<String> { p.kernels.iter().map(|k| k.name.clone()).collect() };
+    let schedules = |p: &CompiledProgram| -> Vec<String> {
+        p.kernels
+            .iter()
+            .map(|k| format!("{:?}", k.schedule))
+            .collect()
+    };
+    assert_eq!(names(&program), ["mha.g0.f", "mha.g0.l.f", "mha.g0.l.l"]);
+    assert_eq!(names(&warm), names(&program));
+    assert_eq!(schedules(&warm), schedules(&program));
+    let sf = CompileSession::with_policy(Arch::Volta, FusionPolicy::SpaceFusion);
     let sf_program = sf.compile(&g).unwrap();
     assert_eq!(sf_program.kernels.len(), 1, "SpaceFusion keeps one kernel");
     check(&g, FusionPolicy::TileGraph, Arch::Volta, 13, tol(1e-3));
@@ -357,7 +372,7 @@ fn welder_policy_partitions_long_mha() {
 #[test]
 fn compile_stats_record_search_space() {
     let g = mha_graph(128, 512, 64);
-    let compiler = Compiler::new(Arch::Ampere, CompileOptions::default());
+    let compiler = CompileSession::new(Arch::Ampere, CompileOptions::default());
     let program = compiler.compile(&g).unwrap();
     assert!(program.stats.configs > 1);
     assert_eq!(
@@ -372,7 +387,7 @@ fn compile_stats_record_search_space() {
 #[test]
 fn schedule_cache_hits_on_repeated_shapes() {
     let g = softmax_graph(64, 256);
-    let compiler = Compiler::new(Arch::Ampere, CompileOptions::default());
+    let compiler = CompileSession::new(Arch::Ampere, CompileOptions::default());
     let p1 = compiler.compile(&g).unwrap();
     assert_eq!(p1.stats.cache_hits, 0);
     let p2 = compiler.compile(&g).unwrap();
@@ -387,9 +402,9 @@ fn schedule_cache_hits_on_repeated_shapes() {
 #[test]
 fn profile_reports_cache_and_dram_counters() {
     let g = mha_graph(128, 512, 64);
-    let compiler = Compiler::new(Arch::Ampere, CompileOptions::default());
+    let compiler = CompileSession::new(Arch::Ampere, CompileOptions::default());
     let fused = compiler.compile(&g).unwrap();
-    let unfused = Compiler::with_policy(Arch::Ampere, FusionPolicy::Unfused)
+    let unfused = CompileSession::with_policy(Arch::Ampere, FusionPolicy::Unfused)
         .compile(&g)
         .unwrap();
     let fr = fused.profile(1);
@@ -410,7 +425,7 @@ fn profile_reports_cache_and_dram_counters() {
 fn batched_instances_scale_profile() {
     let mut g = mha_graph(128, 256, 64);
     g.instances = 8;
-    let compiler = Compiler::new(Arch::Ampere, CompileOptions::default());
+    let compiler = CompileSession::new(Arch::Ampere, CompileOptions::default());
     let p = compiler.compile(&g).unwrap();
     let r1 = {
         let mut g1 = mha_graph(128, 256, 64);

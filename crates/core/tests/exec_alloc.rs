@@ -8,8 +8,7 @@
 use sf_gpu_sim::Arch;
 use sf_models::subgraphs;
 use spacefusion::codegen::{ExecEngine, ExecOptions};
-use spacefusion::compiler::{CompileOptions, Compiler, FusionPolicy};
-use spacefusion::pipeline::CompileSession;
+use spacefusion::{CompileOptions, CompileSession, FusionPolicy};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Exclusive use of the process-wide allocation counters.
@@ -29,7 +28,7 @@ fn attention_allocations_reduced_by_scratch_reuse() {
     let _alone = counters();
     let graph = subgraphs::mha(1, 4, 64, 32);
     let bindings = graph.random_bindings(11);
-    let program = Compiler::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion)
+    let program = CompileSession::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion)
         .compile(&graph)
         .expect("compile mha");
 

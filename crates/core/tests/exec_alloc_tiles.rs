@@ -12,7 +12,7 @@ use sf_gpu_sim::Arch;
 use sf_ir::Graph;
 use sf_models::subgraphs;
 use spacefusion::codegen::ExecOptions;
-use spacefusion::compiler::{CompileOptions, Compiler};
+use spacefusion::{CompileOptions, CompileSession};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -53,7 +53,7 @@ static GLOBAL: Counting = Counting;
 /// Heap allocations of one warm single-thread execution of `graph`, and
 /// the number of intra-block tiles its kernels loop over.
 fn warm_execution(graph: &Graph) -> (u64, usize) {
-    let program = Compiler::new(Arch::Ampere, CompileOptions::default())
+    let program = CompileSession::new(Arch::Ampere, CompileOptions::default())
         .compile(graph)
         .expect("compile");
     let bindings = graph.random_bindings(3);

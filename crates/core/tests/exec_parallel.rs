@@ -11,10 +11,8 @@ use sf_ir::Graph;
 use sf_models::subgraphs;
 use sf_tensor::{assert_tensors_bitwise, Tensor};
 use spacefusion::codegen::{ExecEngine, ExecOptions};
-use spacefusion::compiler::{CompileOptions, Compiler, FusionPolicy};
-use spacefusion::pipeline::CompileSession;
 use spacefusion::resilience::{silence_injected_panics, FaultKind, FaultPlan, FaultStage, Rung};
-use spacefusion::FaultInjector;
+use spacefusion::{CompileOptions, CompileSession, FaultInjector, FusionPolicy};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -48,7 +46,7 @@ fn parallel_execution_is_bit_identical_to_serial() {
         let bindings = graph.random_bindings(7);
         for arch in ARCHS {
             for policy in POLICIES {
-                let program = Compiler::with_policy(arch, policy)
+                let program = CompileSession::with_policy(arch, policy)
                     .compile(&graph)
                     .unwrap_or_else(|e| panic!("{}/{arch:?}/{policy:?}: {e}", graph.name()));
                 let serial = program

@@ -21,9 +21,9 @@ use sf_ir::Graph;
 use sf_models::subgraphs;
 use sf_tensor::assert_tensors_bitwise;
 use spacefusion::codegen::{ExecEngine, ExecOptions};
-use spacefusion::compiler::{Compiler, FusionPolicy};
 use spacefusion::pipeline::{CompileOptions, CompileSession};
 use spacefusion::verify::{verify_kernel, DisjointProof};
+use spacefusion::FusionPolicy;
 use std::sync::Arc;
 
 /// Small-size zoo instances: every subgraph family from Fig. 10.
@@ -56,7 +56,7 @@ fn zoo_is_statically_proven_disjoint_under_every_policy_and_arch() {
     for graph in zoo() {
         for arch in ARCHS {
             for policy in POLICIES {
-                let program = Compiler::with_policy(arch, policy)
+                let program = CompileSession::with_policy(arch, policy)
                     .compile(&graph)
                     .unwrap_or_else(|e| panic!("{}/{arch:?}/{policy:?}: {e}", graph.name()));
                 for kp in &program.kernels {
@@ -96,7 +96,7 @@ fn proven_kernels_execute_lock_free_without_tripping_the_claim_bitmap() {
     for graph in zoo() {
         let bindings = graph.random_bindings(13);
         for arch in ARCHS {
-            let program = Compiler::with_policy(arch, FusionPolicy::SpaceFusion)
+            let program = CompileSession::with_policy(arch, FusionPolicy::SpaceFusion)
                 .compile(&graph)
                 .unwrap_or_else(|e| panic!("{}/{arch:?}: {e}", graph.name()));
             assert!(program.kernels.iter().all(|k| k.disjoint.is_proven()));

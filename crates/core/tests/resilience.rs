@@ -15,13 +15,13 @@ use sf_ir::Graph;
 use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
 use sf_tensor::{assert_tensors_bitwise, DType, Shape};
 use spacefusion::codegen::ExecOptions;
-use spacefusion::compiler::{CompileOptions, FusionPolicy};
 use spacefusion::pipeline::{CollectingSink, CompileSession, PassId};
 use spacefusion::resilience::{
     silence_injected_panics, Fault, FaultInjector, FaultKind, FaultPlan, FaultStage, Rung,
 };
 use spacefusion::sched::SlicingOptions;
 use spacefusion::SfError;
+use spacefusion::{CompileOptions, FusionPolicy};
 use std::sync::Arc;
 
 /// Options for compiles whose outputs are asserted bit-identical to the

@@ -11,8 +11,8 @@ use sf_gpu_sim::Arch;
 use sf_ir::Graph;
 use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
 use sf_tensor::{DType, Shape};
-use spacefusion::compiler::{CompileOptions, CompiledProgram, FusionPolicy};
 use spacefusion::pipeline::{CollectingSink, CompileSession, EventDetail, ScheduleCache};
+use spacefusion::{CompileOptions, CompiledProgram, FusionPolicy};
 use std::sync::Arc;
 
 fn layernorm(m: usize, n: usize) -> Graph {
@@ -62,8 +62,7 @@ fn barrier_graph() -> Graph {
     g
 }
 
-/// Structural fingerprint of a compiled program, excluding kernel names
-/// (a cache-hit rebuild may label partition fragments differently).
+/// Structural fingerprint of a compiled program, excluding kernel names.
 fn fingerprint(p: &CompiledProgram) -> Vec<(usize, Vec<usize>, Option<usize>)> {
     p.kernels
         .iter()
@@ -298,6 +297,7 @@ fn waiters_take_over_after_claimant_panic() {
     };
     let entry = CacheEntry {
         piece_lens: vec![1],
+        suffixes: vec![String::new()],
         configs: vec![SavedConfig {
             spatial: vec![8],
             temporal: None,

@@ -8,8 +8,7 @@ use sf_gpu_sim::Arch;
 use sf_models::subgraphs;
 use sf_tensor::Tensor;
 use spacefusion::codegen::{ExecEngine, ExecOptions};
-use spacefusion::compiler::{CompileOptions, CompiledProgram, Compiler};
-use spacefusion::CompileSession;
+use spacefusion::{CompileOptions, CompileSession, CompiledProgram};
 
 fn split_partitions(program: &CompiledProgram) -> Vec<usize> {
     program
@@ -45,7 +44,7 @@ fn tuner_selects_split_k_on_reduction_bound_shapes() {
         ),
         (subgraphs::softmax(16, 4096), "occupancy-starved softmax"),
     ] {
-        let program = Compiler::new(Arch::Ampere, CompileOptions::default())
+        let program = CompileSession::new(Arch::Ampere, CompileOptions::default())
             .compile(&graph)
             .expect("compile");
         let parts = split_partitions(&program);
@@ -63,7 +62,7 @@ fn tuner_selects_split_k_on_reduction_bound_shapes() {
 #[test]
 fn tuner_declines_split_k_when_spatially_saturated() {
     let graph = subgraphs::deep_reduce(64, 4096);
-    let program = Compiler::new(Arch::Ampere, CompileOptions::default())
+    let program = CompileSession::new(Arch::Ampere, CompileOptions::default())
         .compile(&graph)
         .expect("compile");
     assert!(
@@ -82,7 +81,7 @@ fn split_outputs_are_bit_identical_across_thread_counts() {
         subgraphs::deep_reduce(16, 4096),
     ] {
         let bindings = graph.random_bindings(7);
-        let program = Compiler::new(Arch::Ampere, CompileOptions::default())
+        let program = CompileSession::new(Arch::Ampere, CompileOptions::default())
             .compile(&graph)
             .expect("compile");
         assert!(

@@ -12,7 +12,6 @@ use sf_ir::{Graph, OpId};
 use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
 use sf_tensor::{DType, Shape};
 use spacefusion::codegen::{lower_instructions, AxisWrite, Instr, KernelProgram, MemSpace};
-use spacefusion::compiler::{Compiler, FusionPolicy};
 use spacefusion::sched::SplitK;
 use spacefusion::slicer::derive_combine;
 use spacefusion::slicer::AggKind;
@@ -20,6 +19,7 @@ use spacefusion::smg::{DimId, Mapping, MappingKind};
 use spacefusion::verify::{
     check_instructions, check_partial_aggregate, check_races, verify_kernel, DiagCode,
 };
+use spacefusion::{CompileSession, FusionPolicy};
 
 fn mha(l: usize) -> Graph {
     let mut g = Graph::new("mha", DType::F16);
@@ -40,7 +40,7 @@ fn mha(l: usize) -> Graph {
 /// A temporally sliced MHA kernel (UTA accumulators, staged loads) plus
 /// its target architecture.
 fn mha_kernel() -> (KernelProgram, GpuArch) {
-    let p = Compiler::with_policy(Arch::Volta, FusionPolicy::SpaceFusion)
+    let p = CompileSession::with_policy(Arch::Volta, FusionPolicy::SpaceFusion)
         .compile(&mha(8192))
         .unwrap();
     assert_eq!(p.kernels.len(), 1, "MHA should fuse into one kernel");

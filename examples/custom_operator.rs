@@ -13,7 +13,7 @@ use sf_gpu_sim::Arch;
 use sf_ir::Graph;
 use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
 use sf_tensor::{DType, Shape};
-use spacefusion::compiler::{Compiler, FusionPolicy};
+use spacefusion::{CompileSession, FusionPolicy};
 
 fn main() {
     let (m, l, d) = (256usize, 2048usize, 64usize);
@@ -53,7 +53,7 @@ fn main() {
     );
 
     // Compile and inspect.
-    let compiler = Compiler::with_policy(Arch::Hopper, FusionPolicy::SpaceFusion);
+    let compiler = CompileSession::with_policy(Arch::Hopper, FusionPolicy::SpaceFusion);
     let program = compiler.compile(&g).expect("compile");
     println!("compiled into {} kernel(s):", program.kernels.len());
     for kp in &program.kernels {

@@ -8,7 +8,7 @@ use sf_gpu_sim::Arch;
 use sf_ir::Graph;
 use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
 use sf_tensor::{DType, Shape};
-use spacefusion::compiler::{Compiler, FusionPolicy};
+use spacefusion::{CompileSession, FusionPolicy};
 
 fn main() {
     // 1. Describe a LayerNorm subprogram as an operator dataflow graph —
@@ -32,7 +32,7 @@ fn main() {
     g.mark_output(y);
 
     // 2. Compile for an A100 with full SpaceFusion.
-    let compiler = Compiler::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion);
+    let compiler = CompileSession::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion);
     let fused = compiler.compile(&g).expect("compile");
     println!(
         "SpaceFusion fused {} operators into {} kernel(s)",
@@ -56,7 +56,7 @@ fn main() {
 
     // 4. Compare simulated performance against the eager baseline
     //    (one kernel per primitive, intermediates in global memory).
-    let unfused = Compiler::with_policy(Arch::Ampere, FusionPolicy::Unfused)
+    let unfused = CompileSession::with_policy(Arch::Ampere, FusionPolicy::Unfused)
         .compile(&g)
         .expect("unfused compile");
     let fr = fused.profile(1);

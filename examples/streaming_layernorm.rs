@@ -11,8 +11,8 @@
 use sf_gpu_sim::Arch;
 use sf_models::subgraphs;
 use spacefusion::codegen::emit_pseudocode;
-use spacefusion::compiler::{Compiler, FusionPolicy};
 use spacefusion::rewrite::streaming_variance;
+use spacefusion::{CompileSession, FusionPolicy};
 
 fn main() {
     let arch = Arch::Ampere;
@@ -22,11 +22,11 @@ fn main() {
     );
     for n in [4096usize, 16384, 65536] {
         let g = subgraphs::layernorm(1024, n);
-        let base = Compiler::with_policy(arch, FusionPolicy::SpaceFusion)
+        let base = CompileSession::with_policy(arch, FusionPolicy::SpaceFusion)
             .compile(&g)
             .expect("baseline compile");
         let rewritten_graph = streaming_variance(&g).expect("pattern");
-        let rewritten = Compiler::with_policy(arch, FusionPolicy::SpaceFusion)
+        let rewritten = CompileSession::with_policy(arch, FusionPolicy::SpaceFusion)
             .compile(&rewritten_graph)
             .expect("rewritten compile");
 
@@ -53,7 +53,7 @@ fn main() {
     // Show what the streaming kernel looks like.
     let g = subgraphs::layernorm(1024, 65536);
     let r = streaming_variance(&g).unwrap();
-    let p = Compiler::with_policy(arch, FusionPolicy::SpaceFusion)
+    let p = CompileSession::with_policy(arch, FusionPolicy::SpaceFusion)
         .compile(&r)
         .unwrap();
     println!("\nstreaming LayerNorm kernel (N = 64K):\n");

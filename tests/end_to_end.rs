@@ -162,8 +162,8 @@ fn batching_does_not_hurt_fused_speedups() {
 /// The compile-cache makes repeated layers cheap (paper §5 / Table 5).
 #[test]
 fn repeated_subprograms_hit_the_schedule_cache() {
-    use spacefusion::compiler::{CompileOptions, Compiler};
-    let compiler = Compiler::new(Arch::Ampere, CompileOptions::default());
+    use spacefusion::{CompileOptions, CompileSession};
+    let compiler = CompileSession::new(Arch::Ampere, CompileOptions::default());
     let g = subgraphs::layernorm(256, 256);
     let p1 = compiler.compile(&g).unwrap();
     let p2 = compiler.compile(&g).unwrap();

@@ -7,7 +7,7 @@ use sf_gpu_sim::Arch;
 use sf_ir::Graph;
 use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
 use sf_tensor::{DType, Shape, Tensor};
-use spacefusion::compiler::{Compiler, FusionPolicy};
+use spacefusion::{CompileSession, FusionPolicy};
 use std::collections::HashMap;
 
 fn verify(g: &Graph, arch: Arch, seed: u64, tol: f32) {
@@ -53,7 +53,7 @@ fn shared_intermediate_across_kernels() {
     g.mark_output(h); // intermediate is also a program output.
     g.mark_output(y);
     for policy in [FusionPolicy::SpaceFusion, FusionPolicy::Unfused] {
-        let p = Compiler::with_policy(Arch::Ampere, policy)
+        let p = CompileSession::with_policy(Arch::Ampere, policy)
             .compile(&g)
             .unwrap();
         let b = g.random_bindings(2);

@@ -7,9 +7,9 @@ use sf_baselines::Engine;
 use sf_gpu_sim::Arch;
 use sf_ir::ValueId;
 use sf_models::extended;
-use spacefusion::compiler::{Compiler, FusionPolicy};
 use spacefusion::slicer::eligible_spatial_dims;
 use spacefusion::smg::build_smg;
+use spacefusion::{CompileSession, FusionPolicy};
 
 fn check(g: &sf_ir::Graph, arch: Arch, seed: u64, tol: f32) -> spacefusion::CompiledProgram {
     let p = Engine::SpaceFusion.compile(arch, g).expect("compile");
@@ -111,7 +111,7 @@ fn streaming_rewrite_composes_with_batchnorm() {
     let a = g.execute(&b).unwrap();
     let c = r.execute(&b).unwrap();
     assert!(a[0].allclose(&c[0], 1e-2));
-    let program = Compiler::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion)
+    let program = CompileSession::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion)
         .compile(&r)
         .unwrap();
     let got = program.execute(&b).unwrap();

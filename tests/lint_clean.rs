@@ -8,11 +8,11 @@
 
 use sf_gpu_sim::Arch;
 use sf_models::{extended, subgraphs, transformer};
-use spacefusion::compiler::{Compiler, FusionPolicy};
 use spacefusion::verify::{verify_program, VerifyConfig};
+use spacefusion::{CompileSession, FusionPolicy};
 
 fn assert_lint_clean(g: &sf_ir::Graph, arch: Arch, policy: FusionPolicy) {
-    let p = Compiler::with_policy(arch, policy)
+    let p = CompileSession::with_policy(arch, policy)
         .compile(g)
         .unwrap_or_else(|e| panic!("{} on {arch} ({policy:?}): {e}", g.name()));
     let cfg = arch.config();

@@ -14,7 +14,7 @@ use sf_tensor::assert_tensors_close;
 use sf_tensor::ops::{BinaryOp, ReduceOp, UnaryOp};
 use sf_tensor::rng::XorShiftRng;
 use sf_tensor::{DType, Shape};
-use spacefusion::compiler::{Compiler, FusionPolicy};
+use spacefusion::{CompileSession, FusionPolicy};
 
 fn cases(seeds: u64) -> impl Iterator<Item = (u64, Graph)> {
     let cfg = GenConfig::default();
@@ -34,7 +34,7 @@ fn fused_random_pipelines_match_reference() {
         let expect = g.execute(&bindings).unwrap();
         let tol = derive_tolerance(&g);
         for policy in [FusionPolicy::SpaceFusion, FusionPolicy::MiOnly] {
-            let compiler = Compiler::with_policy(Arch::Ampere, policy);
+            let compiler = CompileSession::with_policy(Arch::Ampere, policy);
             let program = compiler
                 .compile(&g)
                 .unwrap_or_else(|e| panic!("seed {seed} {policy:?}: {e}"));
@@ -76,7 +76,7 @@ fn fused_attention_matches_reference_at_random_shapes() {
 
         let bindings = g.random_bindings(seed);
         let expect = g.execute(&bindings).unwrap();
-        let program = Compiler::with_policy(Arch::Volta, FusionPolicy::SpaceFusion)
+        let program = CompileSession::with_policy(Arch::Volta, FusionPolicy::SpaceFusion)
             .compile(&g)
             .unwrap();
         let got = program.execute(&bindings).unwrap();
@@ -94,7 +94,7 @@ fn fused_attention_matches_reference_at_random_shapes() {
 fn schedules_respect_resource_bounds() {
     for (seed, g) in cases(32) {
         for arch in [Arch::Volta, Arch::Hopper] {
-            let compiler = Compiler::with_policy(arch, FusionPolicy::SpaceFusion);
+            let compiler = CompileSession::with_policy(arch, FusionPolicy::SpaceFusion);
             let program = compiler
                 .compile(&g)
                 .unwrap_or_else(|e| panic!("seed {seed} {arch:?}: {e}"));
@@ -119,12 +119,12 @@ fn schedules_respect_resource_bounds() {
 fn policies_agree_with_each_other() {
     for (seed, g) in cases(32) {
         let bindings = g.random_bindings(seed);
-        let a = Compiler::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion)
+        let a = CompileSession::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion)
             .compile(&g)
             .unwrap()
             .execute(&bindings)
             .unwrap();
-        let b = Compiler::with_policy(Arch::Ampere, FusionPolicy::Unfused)
+        let b = CompileSession::with_policy(Arch::Ampere, FusionPolicy::Unfused)
             .compile(&g)
             .unwrap()
             .execute(&bindings)
@@ -142,7 +142,7 @@ fn policies_agree_with_each_other() {
 #[test]
 fn profiler_counters_are_consistent() {
     for (seed, g) in cases(24) {
-        let program = Compiler::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion)
+        let program = CompileSession::with_policy(Arch::Ampere, FusionPolicy::SpaceFusion)
             .compile(&g)
             .unwrap();
         let r = program.profile(1);
