@@ -12,6 +12,9 @@
 //! `SF_BLESS_GOLDEN=1 cargo test -p sf-bench --test repro_golden`, then
 //! read the diff.
 
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
+
 use sf_bench::repro::{render, Clock, ARTEFACTS};
 use std::path::PathBuf;
 
@@ -22,38 +25,16 @@ fn golden_path(id: &str) -> PathBuf {
         .join(format!("{id}.txt"))
 }
 
-fn first_difference(expected: &str, actual: &str) -> String {
-    for (n, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
-        if e != a {
-            return format!("line {}:\n  golden: {e}\n  actual: {a}", n + 1);
-        }
-    }
-    format!(
-        "length differs: golden {} line(s), actual {} line(s)",
-        expected.lines().count(),
-        actual.lines().count()
-    )
-}
-
 fn check(id: &str) {
     let artefact = ARTEFACTS
         .iter()
         .find(|a| a.id == id)
         .unwrap_or_else(|| panic!("no artefact '{id}'"));
     let actual = render(artefact, true);
-    let path = golden_path(id);
-    if std::env::var_os("SF_BLESS_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("create golden dir");
-        std::fs::write(&path, &actual).expect("write golden");
-        return;
-    }
-    let expected =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    assert!(
-        expected == actual,
-        "repro --only {id} --quick drifted from {}: {}",
-        path.display(),
-        first_difference(&expected, &actual)
+    golden::check(
+        &golden_path(id),
+        &actual,
+        &format!("repro --only {id} --quick"),
     );
 }
 

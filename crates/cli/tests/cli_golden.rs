@@ -11,25 +11,15 @@
 //! `SF_BLESS_GOLDEN=1 cargo test -p sf-cli --test cli_golden`, then read
 //! the diff.
 
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
+
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn root() -> PathBuf {
     // crates/cli -> workspace root
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
-
-fn first_difference(expected: &str, actual: &str) -> String {
-    for (n, (e, a)) in expected.lines().zip(actual.lines()).enumerate() {
-        if e != a {
-            return format!("line {}:\n  golden: {e}\n  actual: {a}", n + 1);
-        }
-    }
-    format!(
-        "length differs: golden {} line(s), actual {} line(s)",
-        expected.lines().count(),
-        actual.lines().count()
-    )
 }
 
 fn check(case: &str, args: &[&str]) {
@@ -41,20 +31,7 @@ fn check(case: &str, args: &[&str]) {
     let code = out.status.code().expect("sfc exited without a code");
     let actual = format!("exit: {code}\n{}", String::from_utf8_lossy(&out.stdout));
     let path = root().join("tests/golden/cli").join(format!("{case}.txt"));
-    if std::env::var_os("SF_BLESS_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).expect("create golden dir");
-        std::fs::write(&path, &actual).expect("write golden");
-        return;
-    }
-    let expected =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    assert!(
-        expected == actual,
-        "sfc {} drifted from {}: {}",
-        args.join(" "),
-        path.display(),
-        first_difference(&expected, &actual)
-    );
+    golden::check(&path, &actual, &format!("sfc {}", args.join(" ")));
 }
 
 macro_rules! golden {
